@@ -94,10 +94,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """A constant view of this tensor's current values."""
-        return Tensor(self.data.copy())
-
     def sum(self, axis: int | None = None) -> "Tensor":
         return tsum(self, axis)
 

@@ -20,6 +20,7 @@ a save/load round trip is bit-exact exactly when the model runs in float32.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 
@@ -107,7 +108,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         name = r.take(name_len, sec).decode("utf-8")
         rank = struct.unpack("<B", r.take(1, sec))[0]
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank, sec))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        count = math.prod(shape)
         data = np.frombuffer(r.take(4 * count, f"{sec} ({name}) data"),
                              dtype="<f4").reshape(shape)
         tensors[name] = data.astype(np.float32)
@@ -117,11 +118,13 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     return config, tensors
 
 
-def _tensor_dict(model) -> dict[str, np.ndarray]:
-    return {name: p.data for name, p in model.named_parameters().items()}
+MODEL_KINDS = {"vae": VaeModel, "nsvae": NsvaeModel}
 
 
-def _assign(model, tensors: dict[str, np.ndarray], path) -> None:
+def build_model(cls, config: dict, tensors: dict[str, np.ndarray], path, dtype):
+    """`cls(dtype=dtype, **config)` holding `tensors`, whose names must match
+    the model's exactly; only the keys in `cls.CONFIG_KEYS` are read."""
+    model = cls(dtype=dtype, **{key: config[key] for key in cls.CONFIG_KEYS})
     params = model.named_parameters()
     missing = sorted(set(params) - set(tensors))
     extra = sorted(set(tensors) - set(params))
@@ -135,27 +138,19 @@ def _assign(model, tensors: dict[str, np.ndarray], path) -> None:
             raise CheckpointError(
                 f"tensor {name}: shape {arr.shape} != model {p.data.shape}")
         p.data = arr.astype(model.dtype)
+    return model
 
 
 def save_model(path, model, extra_config: dict | None = None) -> None:
     kind = "nsvae" if isinstance(model, NsvaeModel) else "vae"
     config = dict(model.config(), kind=kind, **(extra_config or {}))
-    save_checkpoint(path, config, _tensor_dict(model))
+    save_checkpoint(path, config, {name: p.data for name, p in model.named_parameters().items()})
 
 
 def load_model(path, dtype=np.float32):
     config, tensors = load_checkpoint(path)
     kind = config.get("kind")
-    if kind == "vae":
-        model = VaeModel(input_dim=config["input_dim"],
-                         hidden_dim=config["hidden_dim"],
-                         latent_dim=config["latent_dim"],
-                         role=config["role"], dtype=dtype)
-    elif kind == "nsvae":
-        model = NsvaeModel(input_dim=config["input_dim"],
-                           hidden_dim=config["hidden_dim"],
-                           latent_dim=config["latent_dim"], dtype=dtype)
-    else:
+    cls = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise CheckpointError(f"config: unknown model kind {kind!r}")
-    _assign(model, tensors, path)
-    return model
+    return build_model(cls, config, tensors, path, dtype)

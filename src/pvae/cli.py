@@ -26,8 +26,8 @@ from .config import RunConfig, load_config
 from .datagen import mix_at_snr, synth_dataset
 from .diploss import SETTINGS, LossWeights
 from .dsp import Waveform, load_wav, save_wav
-from .pipeline import (ModelBundle, enhance, enhance_details, load_bundle,
-                       pretrain_vae, save_bundle, train_nsvae,
+from .pipeline import (EnhanceResult, ModelBundle, enhance, enhance_details,
+                       load_bundle, pretrain_vae, save_bundle, train_nsvae,
                        write_training_log)
 
 # fixed offsets deriving each stage's generator from the master seed
@@ -156,10 +156,11 @@ def make_eval_triples(cfg: RunConfig):
 EDGE_TRIM = 256
 
 
-def evaluate_bundle(bundle: ModelBundle, triples) -> list[dict]:
+def evaluate_bundle(triples, results: list[EnhanceResult]) -> list[dict]:
+    """Metric rows for eval `triples` from their enhancement `results`."""
     rows = []
-    for i, t in enumerate(triples):
-        out = enhance(bundle, t.mixture)
+    for i, (t, res) in enumerate(zip(triples, results)):
+        out = res.enhanced
         n = len(out)
         core = slice(EDGE_TRIM, n - EDGE_TRIM)
         ref = t.speech.samples[:n][core]
@@ -186,19 +187,14 @@ def summarize_metrics(rows: list[dict]) -> dict:
     return out
 
 
-def latent_clouds(bundle: ModelBundle, triples) -> list[LatentCloud]:
+def latent_clouds(results: list[EnhanceResult]) -> list[LatentCloud]:
     """Per-frame NSVAE posterior means over mixtures, one cloud per branch."""
-    zx, zv = [], []
-    for t in triples:
-        res = enhance_details(bundle, t.mixture)
-        zx.append(res.z_speech)
-        zv.append(res.z_noise)
-    return [LatentCloud(np.concatenate(zx), "speech"),
-            LatentCloud(np.concatenate(zv), "noise")]
+    return [LatentCloud(np.concatenate([r.z_speech for r in results]), "speech"),
+            LatentCloud(np.concatenate([r.z_noise for r in results]), "noise")]
 
 
-def export_latents(out_dir: Path, bundle: ModelBundle, triples) -> dict:
-    clouds = latent_clouds(bundle, triples)
+def export_latents(out_dir: Path, results: list[EnhanceResult]) -> dict:
+    clouds = latent_clouds(results)
     pca = pca_fit(clouds)
     write_latent_csv(out_dir / "latents.csv", clouds, pca)
     write_latent_svg(out_dir / "latents.svg", clouds, pca)
@@ -279,7 +275,8 @@ def cmd_evaluate(args) -> None:
     out = Path(args.out)
     write_manifest(out, "evaluate", cfg, {"bundle": str(args.bundle)})
     bundle = load_bundle(args.bundle)
-    rows = evaluate_bundle(bundle, make_eval_triples(cfg))
+    triples = make_eval_triples(cfg)
+    rows = evaluate_bundle(triples, [enhance_details(bundle, t.mixture) for t in triples])
     write_metrics_csv(out / "metrics.csv", rows)
     with open(out / "summary.json", "w") as fh:
         json.dump(summarize_metrics(rows), fh, indent=2, sort_keys=True)
@@ -291,7 +288,8 @@ def cmd_latent_viz(args) -> None:
     out = Path(args.out)
     write_manifest(out, "latent-viz", cfg, {"bundle": str(args.bundle)})
     bundle = load_bundle(args.bundle)
-    stats = export_latents(out, bundle, make_eval_triples(cfg))
+    stats = export_latents(out, [enhance_details(bundle, t.mixture)
+                                 for t in make_eval_triples(cfg)])
     with open(out / "separation.json", "w") as fh:
         json.dump(stats, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -321,9 +319,10 @@ def run_setting(cfg: RunConfig, setting: int, out_dir: Path) -> dict:
     save_bundle(out_dir / "bundle.ckpt", bundle)
 
     eval_triples = make_eval_triples(scfg)
-    rows = evaluate_bundle(bundle, eval_triples)
+    results = [enhance_details(bundle, t.mixture) for t in eval_triples]
+    rows = evaluate_bundle(eval_triples, results)
     write_metrics_csv(out_dir / "metrics.csv", rows)
-    stats = export_latents(out_dir, bundle, eval_triples)
+    stats = export_latents(out_dir, results)
     summary = summarize_metrics(rows)
     summary["separation"] = stats
     with open(out_dir / "summary.json", "w") as fh:

@@ -89,13 +89,9 @@ def stft(wav: Waveform | np.ndarray) -> Spectrogram:
     x = wav.samples if isinstance(wav, Waveform) else np.asarray(wav, dtype=np.float64)
     if len(x) < FRAME_LEN:
         raise ValueError(f"stft: need at least {FRAME_LEN} samples, got {len(x)}")
-    n_frames = (len(x) - FRAME_LEN) // HOP + 1
-    window = hann_window(FRAME_LEN)
-    frames = np.empty((F_BINS, n_frames), dtype=np.complex128)
-    for n in range(n_frames):
-        seg = x[n * HOP: n * HOP + FRAME_LEN]
-        frames[:, n] = np.fft.rfft(window * seg)
-    return Spectrogram(frames)
+    segs = np.lib.stride_tricks.sliding_window_view(x, FRAME_LEN)[::HOP]
+    frames = np.fft.rfft(segs * hann_window(FRAME_LEN), axis=1)
+    return Spectrogram(np.ascontiguousarray(frames.T))
 
 
 def istft(spec: Spectrogram) -> Waveform:

@@ -1,5 +1,7 @@
 """Neural building blocks: fully-connected layers, a uni-directional GRU,
-Glorot-uniform initialization, global-norm gradient clipping, and Adam.
+the encoder trunk the three models share, the per-frame loop that runs
+them over a sequence, Glorot-uniform initialization, global-norm gradient
+clipping, and Adam.
 
 Everything operates on `autodiff.Tensor` matrices laid out as
 (batch, features); biases broadcast over the batch through the explicit
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NumericError, Tensor
 
 
 def init_parameters(fan_in: int, fan_out: int, rng: np.random.Generator,
@@ -23,7 +25,31 @@ def init_parameters(fan_in: int, fan_out: int, rng: np.random.Generator,
     return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
 
 
-class LinearLayer:
+class Module:
+    """Anything that owns parameters, named by one walk: a composite lists
+    its sub-layers as ordered (prefix, layer) pairs in `layers()`, and a leaf
+    layer overrides `named_parameters` with its own tensors. That order fixes
+    checkpoint names, Adam state order and the summation order of
+    `clip_grad_norm`.
+    """
+
+    def layers(self) -> list[tuple[str, Module]]:
+        raise NotImplementedError
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {f"{prefix}.{name}": p for prefix, layer in self.layers()
+                for name, p in layer.named_parameters().items()}
+
+    def parameters(self) -> list[Tensor]:
+        return list(self.named_parameters().values())
+
+    def freeze(self) -> None:
+        """Make all parameters gradient-free (pretrained target models)."""
+        for p in self.parameters():
+            p.requires_grad = False
+
+
+class LinearLayer(Module):
     """y = activation(x @ W + b) with x laid out (batch, in_dim).
 
     `weight` is stored (in_dim, out_dim); activation is "relu" or "none".
@@ -48,11 +74,11 @@ class LinearLayer:
                      ad.broadcast_rows(self.bias, x.data.shape[0]))
         return ad.relu(out) if self.activation == "relu" else out
 
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {"weight": self.weight, "bias": self.bias}
 
 
-class GruLayer:
+class GruLayer(Module):
     """Single uni-directional GRU evaluated frame by frame over a batch.
 
     Gate equations (one of several conventions in circulation; this one is
@@ -107,9 +133,58 @@ class GruLayer:
         one_minus_z = ad.sub(1.0, z)
         return ad.add(ad.mul(one_minus_z, h_prev), ad.mul(z, h_tilde))
 
-    def parameters(self) -> list[Tensor]:
-        return [self.W_r, self.W_z, self.W_h, self.U_r, self.U_z, self.U_h,
-                self.b_r, self.b_z, self.b_h]
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {name: getattr(self, name) for name in
+                ("W_r", "W_z", "W_h", "U_r", "U_z", "U_h", "b_r", "b_z", "b_h")}
+
+
+class EncoderTrunk(Module):
+    """3 FC-ReLU layers into a GRU: the front of every encoder."""
+
+    def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator,
+                 dtype=np.float64):
+        self.fc = [LinearLayer(n_in, hidden_dim, activation="relu", rng=rng, dtype=dtype)
+                   for n_in in (in_dim, hidden_dim, hidden_dim)]
+        self.gru = GruLayer(hidden_dim, hidden_dim, rng=rng, dtype=dtype)
+
+    def layers(self) -> list[tuple[str, Module]]:
+        return [(f"fc{i}", layer) for i, layer in enumerate(self.fc)] + [("gru", self.gru)]
+
+    def step(self, x_t: Tensor, h_prev: Tensor) -> Tensor:
+        h = x_t
+        for layer in self.fc:
+            h = layer(h)
+        return self.gru.step(h, h_prev)
+
+
+def run_frames(stage: str, stack: Tensor, n_batch: int, gru: GruLayer,
+               step) -> list[Tensor]:
+    """Run `step(x_t, state) -> (state, outputs)` over the frames of a
+    time-major (T*B, F) stack, starting from `gru`'s zero state, and stack
+    each output back to (T*B, .).
+
+    Every frame is processed with ops whose shapes depend only on the batch
+    size, never on the sequence length: BLAS kernels may change summation
+    order with matrix shape, so per-step processing is what makes encoder
+    causality hold bit-exactly (outputs for frame n never move when later
+    frames are appended). A `NumericError` is re-raised naming the stage
+    and the frame.
+    """
+    state = gru.initial_state(n_batch, dtype=stack.data.dtype)
+    total = stack.data.shape[0]
+    if total % n_batch != 0:
+        raise ValueError(f"stack of {total} rows does not divide into batches of {n_batch}")
+    frames = [ad.slice_rows(stack, t * n_batch, (t + 1) * n_batch)
+              for t in range(total // n_batch)]
+    outputs = []
+    for t, x_t in enumerate(frames):
+        try:
+            state, out = step(x_t, state)
+        except NumericError as exc:
+            raise NumericError(f"{stage} frame {t}: {exc}") from exc
+        outputs.append(out)
+    return [parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+            for parts in zip(*outputs)]
 
 
 def clip_grad_norm(params: list[Tensor], max_norm: float = 5.0) -> float:

@@ -6,109 +6,55 @@ trained purely by matching those posteriors (in closed-form KL) to the
 posteriors that the frozen pretrained models assign to the clean speech
 and the noise that made up the mixture. No decoder exists here: at
 inference the pretrained decoders consume this encoder's latents.
+
+The model is built on the same skeleton as the pretrained VAEs: the shared
+`nn.EncoderTrunk`, the per-frame `nn.run_frames` loop and `gaussian_head`.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .autodiff import NumericError, Tensor
-from .vae import VAR_FLOOR, GaussianParams, VaeModel, stack_time_major
+from .autodiff import Tensor
+from .vae import FrameModel, GaussianParams, VaeModel, gaussian_head, stack_time_major
 
 
-class NsvaeModel:
-    """3 FC-ReLU + GRU trunk, a widening FC, and four parallel linear heads."""
+class NsvaeModel(FrameModel):
+    """Encoder trunk, a widening FC, and four parallel linear heads."""
 
     def __init__(self, input_dim: int = 257, hidden_dim: int = 512,
                  latent_dim: int = 128, rng: np.random.Generator | None = None,
                  dtype=np.float64):
         rng = rng or np.random.default_rng(0)
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.latent_dim = latent_dim
-        self.dtype = np.dtype(dtype)
-
-        def fc(i, o, act="relu"):
-            return nn.LinearLayer(i, o, activation=act, rng=rng, dtype=dtype)
-
+        super().__init__(input_dim, hidden_dim, latent_dim, rng, dtype)
+        fc = partial(nn.LinearLayer, rng=rng, dtype=dtype)
         h = hidden_dim
-        self.fc_in = [fc(input_dim, h), fc(h, h), fc(h, h)]
-        self.gru = nn.GruLayer(h, h, rng=rng, dtype=dtype)
-        self.fc_wide = fc(h, 2 * h)
-        self.head_mu_x = fc(2 * h, latent_dim, act="none")
-        self.head_logvar_x = fc(2 * h, latent_dim, act="none")
-        self.head_mu_v = fc(2 * h, latent_dim, act="none")
-        self.head_logvar_v = fc(2 * h, latent_dim, act="none")
+        self.fc_wide = fc(h, 2 * h, "relu")
+        self.head_mu_x = fc(2 * h, latent_dim)
+        self.head_logvar_x = fc(2 * h, latent_dim)
+        self.head_mu_v = fc(2 * h, latent_dim)
+        self.head_logvar_v = fc(2 * h, latent_dim)
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-
-        def add_linear(prefix, layer):
-            out[f"{prefix}.weight"] = layer.weight
-            out[f"{prefix}.bias"] = layer.bias
-
-        for i, layer in enumerate(self.fc_in):
-            add_linear(f"trunk.fc{i}", layer)
-        for name in ("W_r", "W_z", "W_h", "U_r", "U_z", "U_h", "b_r", "b_z", "b_h"):
-            out[f"trunk.gru.{name}"] = getattr(self.gru, name)
-        add_linear("trunk.wide", self.fc_wide)
-        add_linear("head.mu_x", self.head_mu_x)
-        add_linear("head.logvar_x", self.head_logvar_x)
-        add_linear("head.mu_v", self.head_mu_v)
-        add_linear("head.logvar_v", self.head_logvar_v)
-        return out
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
-
-    def config(self) -> dict:
-        return {"input_dim": self.input_dim, "hidden_dim": self.hidden_dim,
-                "latent_dim": self.latent_dim}
+    def layers(self) -> list[tuple[str, nn.Module]]:
+        return [("trunk", self.trunk), ("trunk.wide", self.fc_wide),
+                ("head.mu_x", self.head_mu_x), ("head.logvar_x", self.head_logvar_x),
+                ("head.mu_v", self.head_mu_v), ("head.logvar_v", self.head_logvar_v)]
 
     def encode_batch(self, y_stack: Tensor, n_batch: int) -> tuple[GaussianParams, GaussianParams]:
-        """Dual posteriors for a time-major (T*B, F) stack of noisy frames.
+        """Dual posteriors (speech, noise) for a time-major (T*B, F) stack of
+        noisy frames."""
+        def step(y_t, state):
+            state = self.trunk.step(y_t, state)
+            wide = self.fc_wide(state)
+            return state, (*gaussian_head(wide, self.head_mu_x, self.head_logvar_x),
+                           *gaussian_head(wide, self.head_mu_v, self.head_logvar_v))
 
-        Per-step processing with batch-only shapes, for the same bit-level
-        causality guarantee as the pretrained encoders.
-        """
-        total = y_stack.data.shape[0]
-        if total % n_batch != 0:
-            raise ValueError(f"stack of {total} rows does not divide into batches of {n_batch}")
-        n_steps = total // n_batch
-        state = self.gru.initial_state(n_batch, dtype=y_stack.data.dtype)
-        collected = {"mu_x": [], "var_x": [], "mu_v": [], "var_v": []}
-        for t in range(n_steps):
-            y_t = ad.slice_rows(y_stack, t * n_batch, (t + 1) * n_batch)
-            try:
-                h = y_t
-                for layer in self.fc_in:
-                    h = layer(h)
-                state = self.gru.step(h, state)
-                wide = self.fc_wide(state)
-                collected["mu_x"].append(self.head_mu_x(wide))
-                collected["var_x"].append(
-                    ad.clamp_min(ad.exp(self.head_logvar_x(wide)), VAR_FLOOR))
-                collected["mu_v"].append(self.head_mu_v(wide))
-                collected["var_v"].append(
-                    ad.clamp_min(ad.exp(self.head_logvar_v(wide)), VAR_FLOOR))
-            except NumericError as exc:
-                raise NumericError(f"encode frame {t}: {exc}") from exc
-
-        def stack(parts):
-            return parts[0] if n_steps == 1 else ad.concat(parts, axis=0)
-
-        return (GaussianParams(mu=stack(collected["mu_x"]), var=stack(collected["var_x"])),
-                GaussianParams(mu=stack(collected["mu_v"]), var=stack(collected["var_v"])))
-
-    def encode(self, frames) -> tuple[GaussianParams, GaussianParams]:
-        """Single sequence (T, F) -> (speech posterior, noise posterior)."""
-        arr = np.asarray(frames.data if isinstance(frames, Tensor) else frames)
-        arr = arr.astype(self.dtype, copy=False)
-        if arr.ndim != 2 or arr.shape[1] != self.input_dim:
-            raise ValueError(f"encode: expected (T, {self.input_dim}), got {arr.shape}")
-        return self.encode_batch(Tensor(arr), n_batch=1)
+        mu_x, var_x, mu_v, var_v = nn.run_frames("encode", y_stack, n_batch, self.trunk.gru, step)
+        return GaussianParams(mu_x, var_x), GaussianParams(mu_v, var_v)
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +84,12 @@ def kl_diag_sum(mu1: Tensor, var1: Tensor, mu2: Tensor, var2: Tensor) -> Tensor:
 
 
 def permutation_loss(ns: NsvaeModel, cvae: VaeModel, nvae: VaeModel,
-                     y: np.ndarray, x: np.ndarray, v: np.ndarray,
-                     reverse_kl: bool = False) -> Tensor:
+                     y: np.ndarray, x: np.ndarray, v: np.ndarray) -> Tensor:
     """Per-frame mean of KL(q(zx|y) || q(zx|x)) + KL(q(zv|y) || q(zv|v)).
 
     `y`, `x`, `v` are aligned (B, T, F) LPS batches of the mixture and its
     two components. The pretrained encoders provide constant targets; only
-    NSVAE parameters receive gradients. `reverse_kl` swaps each KL's
-    argument order (an experiment flag, off by default and not used by the
-    training pipeline).
+    NSVAE parameters receive gradients.
     """
     y, x, v = (np.asarray(a) for a in (y, x, v))
     if not (y.shape == x.shape == v.shape):
@@ -165,10 +108,6 @@ def permutation_loss(ns: NsvaeModel, cvae: VaeModel, nvae: VaeModel,
         tv = nvae.encode_batch(Tensor(stack_time_major(v, nvae.dtype)), n_batch)
 
     n_frames = y.shape[0] * y.shape[1]
-    if reverse_kl:
-        total = ad.add(kl_diag_sum(tx.mu, tx.var, qx_y.mu, qx_y.var),
-                       kl_diag_sum(tv.mu, tv.var, qv_y.mu, qv_y.var))
-    else:
-        total = ad.add(kl_diag_sum(qx_y.mu, qx_y.var, tx.mu, tx.var),
-                       kl_diag_sum(qv_y.mu, qv_y.var, tv.mu, tv.var))
+    total = ad.add(kl_diag_sum(qx_y.mu, qx_y.var, tx.mu, tx.var),
+                   kl_diag_sum(qv_y.mu, qv_y.var, tv.mu, tv.var))
     return ad.mul(total, 1.0 / n_frames)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import CHECKPOINT_FORMAT_VERSION, autodiff as ad
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, build_model, load_checkpoint, save_checkpoint
 from .datagen import MixTriple
 from .diploss import LossWeights, dip_total_loss
 from .dsp import Spectrogram, Waveform, apply_mask, istft, lps, lps_to_magnitude, stft
@@ -277,10 +277,6 @@ def write_training_log(path, log) -> None:
                              repr(float(val_loss))])
 
 
-def _weights_dict(w: LossWeights) -> dict:
-    return {"beta": w.beta, "lambda_od": w.lambda_od, "lambda_d": w.lambda_d}
-
-
 def save_bundle(path, bundle: ModelBundle) -> None:
     config = {
         "kind": "bundle",
@@ -288,32 +284,27 @@ def save_bundle(path, bundle: ModelBundle) -> None:
         "cvae": bundle.cvae.config(),
         "nvae": bundle.nvae.config(),
         "nsvae": bundle.nsvae.config(),
-        "cvae_weights": _weights_dict(bundle.cvae_weights),
-        "nvae_weights": _weights_dict(bundle.nvae_weights),
+        "cvae_weights": vars(bundle.cvae_weights),
+        "nvae_weights": vars(bundle.nvae_weights),
     }
-    tensors = {}
-    for prefix, model in (("cvae", bundle.cvae), ("nvae", bundle.nvae),
-                          ("nsvae", bundle.nsvae)):
-        for name, p in model.named_parameters().items():
-            tensors[f"{prefix}.{name}"] = p.data
+    tensors = {f"{prefix}.{name}": p.data
+               for prefix, model in (("cvae", bundle.cvae), ("nvae", bundle.nvae),
+                                     ("nsvae", bundle.nsvae))
+               for name, p in model.named_parameters().items()}
     save_checkpoint(path, config, tensors)
 
 
 def load_bundle(path, dtype=np.float32) -> ModelBundle:
-    from .checkpoint import CheckpointError, _assign
-
     config, tensors = load_checkpoint(path)
     if config.get("kind") != "bundle":
         raise CheckpointError(
             f"config: expected a bundle, got kind {config.get('kind')!r}")
-    cvae = VaeModel(dtype=dtype, **config["cvae"])
-    nvae = VaeModel(dtype=dtype, **config["nvae"])
-    nsvae = NsvaeModel(dtype=dtype, **config["nsvae"])
-    for prefix, model in (("cvae", cvae), ("nvae", nvae), ("nsvae", nsvae)):
+    models = {}
+    for prefix, cls in (("cvae", VaeModel), ("nvae", VaeModel), ("nsvae", NsvaeModel)):
         sub = {name[len(prefix) + 1:]: arr for name, arr in tensors.items()
                if name.startswith(prefix + ".")}
-        _assign(model, sub, path)
-    return ModelBundle(cvae=cvae, nvae=nvae, nsvae=nsvae,
+        models[prefix] = build_model(cls, config[prefix], sub, path, dtype)
+    return ModelBundle(**models,
                        cvae_weights=LossWeights(**config["cvae_weights"]),
                        nvae_weights=LossWeights(**config["nvae_weights"]),
                        format_version=config["format_version"])

@@ -2,23 +2,26 @@
 
 One model class serves both roles (clean speech and noise); the role flag
 only selects training data. The encoder maps each F-bin frame to a diagonal
-Gaussian over an L-dim latent, causally via a GRU; the decoder mirrors the
-encoder in reverse and emits a diagonal Gaussian over F bins.
+Gaussian over an L-dim latent, causally via the shared `nn.EncoderTrunk`
+(FC stack + GRU) and a `gaussian_head`; the decoder mirrors the encoder in
+reverse and emits a diagonal Gaussian over F bins. `FrameModel` holds what
+this model and `nsvae.NsvaeModel` share.
 
 Batched sequences are laid out time-major: a (B, T, F) batch becomes a
-(T*B, F) matrix whose row t*B + b is frame t of sequence b. Frame-local
-layers then run as single matmuls and the GRU walks the T row-blocks.
+(T*B, F) matrix whose row t*B + b is frame t of sequence b. `nn.run_frames`
+walks the T row-blocks, one step per frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .autodiff import NumericError, Tensor
+from .autodiff import Tensor
 
 VAR_FLOOR = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -72,8 +75,44 @@ def reparameterize(q: GaussianParams, rng: np.random.Generator) -> LatentSample:
     return LatentSample(z=z, epsilon=eps)
 
 
-class VaeModel:
-    """Encoder (3 FC-ReLU + GRU + 2 linear heads) and mirrored decoder."""
+def gaussian_head(h: Tensor, mu_head: nn.LinearLayer,
+                  logvar_head: nn.LinearLayer) -> tuple[Tensor, Tensor]:
+    """Diagonal Gaussian (mu, var) from two linear heads; var is floored."""
+    return mu_head(h), ad.clamp_min(ad.exp(logvar_head(h)), VAR_FLOOR)
+
+
+class FrameModel(nn.Module):
+    """What the VAE and the NSVAE share: dimensions, the encoder trunk, the
+    single-sequence `encode`, and a `config()` of exactly the constructor
+    arguments in `CONFIG_KEYS`, so `type(model)(**model.config())` rebuilds
+    the topology."""
+
+    CONFIG_KEYS = ("input_dim", "hidden_dim", "latent_dim")
+
+    def __init__(self, input_dim: int, hidden_dim: int, latent_dim: int,
+                 rng: np.random.Generator, dtype):
+        self.input_dim = input_dim
+        self.hidden_dim = hidden_dim
+        self.latent_dim = latent_dim
+        self.dtype = np.dtype(dtype)
+        self.trunk = nn.EncoderTrunk(input_dim, hidden_dim, rng, dtype)
+
+    def config(self) -> dict:
+        return {key: getattr(self, key) for key in self.CONFIG_KEYS}
+
+    def encode(self, frames):
+        """Single sequence (T, F) -> per-frame posteriors, causal."""
+        arr = _np(frames).astype(self.dtype, copy=False)
+        if arr.ndim != 2 or arr.shape[1] != self.input_dim:
+            raise ValueError(f"encode: expected (T, {self.input_dim}), got {arr.shape}")
+        return self.encode_batch(Tensor(arr), n_batch=1)
+
+
+class VaeModel(FrameModel):
+    """Encoder (trunk + 2 linear heads) and a mirrored decoder (GRU + 3 FC-ReLU
+    + 2 linear heads)."""
+
+    CONFIG_KEYS = FrameModel.CONFIG_KEYS + ("role",)
 
     def __init__(self, input_dim: int = 257, hidden_dim: int = 512,
                  latent_dim: int = 128, role: str = "speech",
@@ -81,91 +120,22 @@ class VaeModel:
         if role not in ("speech", "noise"):
             raise ValueError(f"role must be 'speech' or 'noise', got {role!r}")
         rng = rng or np.random.default_rng(0)
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.latent_dim = latent_dim
+        super().__init__(input_dim, hidden_dim, latent_dim, rng, dtype)
         self.role = role
-        self.dtype = np.dtype(dtype)
-
-        def fc(i, o, act="relu"):
-            return nn.LinearLayer(i, o, activation=act, rng=rng, dtype=dtype)
-
+        fc = partial(nn.LinearLayer, rng=rng, dtype=dtype)
         h = hidden_dim
-        self.enc_fc = [fc(input_dim, h), fc(h, h), fc(h, h)]
-        self.enc_gru = nn.GruLayer(h, h, rng=rng, dtype=dtype)
-        self.enc_mu = fc(h, latent_dim, act="none")
-        self.enc_logvar = fc(h, latent_dim, act="none")
-
+        self.enc_mu = fc(h, latent_dim)
+        self.enc_logvar = fc(h, latent_dim)
         self.dec_gru = nn.GruLayer(latent_dim, h, rng=rng, dtype=dtype)
-        self.dec_fc = [fc(h, h), fc(h, h), fc(h, h)]
-        self.dec_mu = fc(h, input_dim, act="none")
-        self.dec_logvar = fc(h, input_dim, act="none")
+        self.dec_fc = [fc(h, h, "relu") for _ in range(3)]
+        self.dec_mu = fc(h, input_dim)
+        self.dec_logvar = fc(h, input_dim)
 
-    # -- parameter plumbing -------------------------------------------------
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-
-        def add_linear(prefix, layer):
-            out[f"{prefix}.weight"] = layer.weight
-            out[f"{prefix}.bias"] = layer.bias
-
-        def add_gru(prefix, gru):
-            for name in ("W_r", "W_z", "W_h", "U_r", "U_z", "U_h", "b_r", "b_z", "b_h"):
-                out[f"{prefix}.{name}"] = getattr(gru, name)
-
-        for i, layer in enumerate(self.enc_fc):
-            add_linear(f"enc.fc{i}", layer)
-        add_gru("enc.gru", self.enc_gru)
-        add_linear("enc.mu", self.enc_mu)
-        add_linear("enc.logvar", self.enc_logvar)
-        add_gru("dec.gru", self.dec_gru)
-        for i, layer in enumerate(self.dec_fc):
-            add_linear(f"dec.fc{i}", layer)
-        add_linear("dec.mu", self.dec_mu)
-        add_linear("dec.logvar", self.dec_logvar)
-        return out
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
-
-    def encoder_parameters(self) -> list[Tensor]:
-        named = self.named_parameters()
-        return [p for name, p in named.items() if name.startswith("enc.")]
-
-    def freeze(self) -> None:
-        """Make all parameters gradient-free (pretrained target models)."""
-        for p in self.parameters():
-            p.requires_grad = False
-
-    def config(self) -> dict:
-        return {"input_dim": self.input_dim, "hidden_dim": self.hidden_dim,
-                "latent_dim": self.latent_dim, "role": self.role}
-
-    # -- forward passes -----------------------------------------------------
-    #
-    # Every frame is processed with ops whose shapes depend only on the batch
-    # size, never on the sequence length: BLAS kernels may change summation
-    # order with matrix shape, so per-step processing is what makes encoder
-    # causality hold bit-exactly (outputs for frame n never move when later
-    # frames are appended).
-
-    def _heads_step(self, trunk: Tensor, mu_head, logvar_head) -> tuple[Tensor, Tensor]:
-        mu = mu_head(trunk)
-        var = ad.clamp_min(ad.exp(logvar_head(trunk)), VAR_FLOOR)
-        return mu, var
-
-    @staticmethod
-    def _split_steps(stack: Tensor, n_batch: int) -> list[Tensor]:
-        total = stack.data.shape[0]
-        if total % n_batch != 0:
-            raise ValueError(f"stack of {total} rows does not divide into batches of {n_batch}")
-        return [ad.slice_rows(stack, t * n_batch, (t + 1) * n_batch)
-                for t in range(total // n_batch)]
-
-    @staticmethod
-    def _stack_steps(steps: list[Tensor]) -> Tensor:
-        return steps[0] if len(steps) == 1 else ad.concat(steps, axis=0)
+    def layers(self) -> list[tuple[str, nn.Module]]:
+        return ([("enc", self.trunk), ("enc.mu", self.enc_mu),
+                 ("enc.logvar", self.enc_logvar), ("dec.gru", self.dec_gru)]
+                + [(f"dec.fc{i}", layer) for i, layer in enumerate(self.dec_fc)]
+                + [("dec.mu", self.dec_mu), ("dec.logvar", self.dec_logvar)])
 
     def encode_batch(self, x_stack: Tensor, n_batch: int) -> GaussianParams:
         """Posterior parameters for a time-major (T*B, F) frame stack.
@@ -173,44 +143,21 @@ class VaeModel:
         GRU state starts at zero: callers are responsible for feeding whole
         segments, never continuations.
         """
-        h_state = self.enc_gru.initial_state(n_batch, dtype=x_stack.data.dtype)
-        mus, vars_ = [], []
-        for t, x_t in enumerate(self._split_steps(x_stack, n_batch)):
-            try:
-                h = x_t
-                for layer in self.enc_fc:
-                    h = layer(h)
-                h_state = self.enc_gru.step(h, h_state)
-                mu, var = self._heads_step(h_state, self.enc_mu, self.enc_logvar)
-            except NumericError as exc:
-                raise NumericError(f"encode frame {t}: {exc}") from exc
-            mus.append(mu)
-            vars_.append(var)
-        return GaussianParams(mu=self._stack_steps(mus), var=self._stack_steps(vars_))
+        def step(x_t, state):
+            state = self.trunk.step(x_t, state)
+            return state, gaussian_head(state, self.enc_mu, self.enc_logvar)
 
-    def encode(self, frames) -> GaussianParams:
-        """Single sequence (T, F) -> per-frame posteriors (T, L), causal."""
-        arr = _np(frames).astype(self.dtype, copy=False)
-        if arr.ndim != 2 or arr.shape[1] != self.input_dim:
-            raise ValueError(f"encode: expected (T, {self.input_dim}), got {arr.shape}")
-        return self.encode_batch(Tensor(arr), n_batch=1)
+        return GaussianParams(*nn.run_frames("encode", x_stack, n_batch, self.trunk.gru, step))
 
     def decode_batch(self, z_stack: Tensor, n_batch: int) -> GaussianParams:
         """Likelihood parameters for a time-major (T*B, L) latent stack."""
-        h_state = self.dec_gru.initial_state(n_batch, dtype=z_stack.data.dtype)
-        mus, vars_ = [], []
-        for t, z_t in enumerate(self._split_steps(z_stack, n_batch)):
-            try:
-                h_state = self.dec_gru.step(z_t, h_state)
-                h = h_state
-                for layer in self.dec_fc:
-                    h = layer(h)
-                mu, var = self._heads_step(h, self.dec_mu, self.dec_logvar)
-            except NumericError as exc:
-                raise NumericError(f"decode frame {t}: {exc}") from exc
-            mus.append(mu)
-            vars_.append(var)
-        return GaussianParams(mu=self._stack_steps(mus), var=self._stack_steps(vars_))
+        def step(z_t, state):
+            state = h = self.dec_gru.step(z_t, state)
+            for layer in self.dec_fc:
+                h = layer(h)
+            return state, gaussian_head(h, self.dec_mu, self.dec_logvar)
+
+        return GaussianParams(*nn.run_frames("decode", z_stack, n_batch, self.dec_gru, step))
 
     def decode(self, z) -> GaussianParams:
         arr = _np(z)

@@ -109,6 +109,17 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    def test_overflowing_shape_header_named(self, tmp_path):
+        # 8 dimensions of 2^31 wrap an int64 element count to 0
+        body = hand_blob({}, {})[:-8] + struct.pack("<I", 1)
+        body += struct.pack("<H", 1) + b"w" + struct.pack("<B", 8)
+        body += struct.pack("<8I", *[2 ** 31] * 8)
+        blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        path = tmp_path / "o.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match="tensor 0"):
+            load_checkpoint(path)
+
     def test_trailing_garbage_named(self, tmp_path):
         body = hand_blob({}, {})[:-4] + b"\x00\x00\x00\x00"
         blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)

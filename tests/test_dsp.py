@@ -75,6 +75,23 @@ class TestStft:
             np.testing.assert_allclose(spec.frames[:, n], brute_force_frame(seg, w),
                                        atol=1e-9)
 
+    def test_matches_per_frame_loop_bitwise(self, rng):
+        x = rng.normal(size=4000)
+        w = dsp.hann_window(FRAME_LEN)
+        spec = dsp.stft(Waveform(x))
+        loop = np.stack([np.fft.rfft(w * x[n * HOP: n * HOP + FRAME_LEN])
+                         for n in range(spec.n_frames)], axis=1)
+        assert spec.frames.tobytes() == loop.tobytes()
+
+    def test_prefix_frames_bit_identical(self, rng):
+        # the dsp half of the causality contract: appending samples never
+        # moves the frames already computed
+        x = rng.normal(size=64000)
+        full = dsp.stft(Waveform(x)).frames
+        for n in (512, 4000, 40000):
+            prefix = dsp.stft(Waveform(x[:n])).frames
+            assert prefix.tobytes() == full[:, :prefix.shape[1]].tobytes()
+
     def test_sinusoid_concentrates_at_its_bin(self):
         # Hann kernel spreads a bin-centered line over 3 bins with relative
         # amplitudes (1/4, 1/2, 1/4): exactly 2/3 of the power sits in the

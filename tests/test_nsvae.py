@@ -71,6 +71,28 @@ class TestEncode:
                                  "head.mu_x.bias", "head.mu_x.weight"]
 
 
+    def test_ordered_names_pinned(self):
+        # this order fixes checkpoint names, Adam state order and the
+        # summation order of clip_grad_norm
+        def linear(prefix):
+            return [f"{prefix}.weight", f"{prefix}.bias"]
+
+        expected = (linear("trunk.fc0") + linear("trunk.fc1") + linear("trunk.fc2")
+                    + [f"trunk.gru.{n}" for n in ("W_r", "W_z", "W_h", "U_r", "U_z",
+                                                  "U_h", "b_r", "b_z", "b_h")]
+                    + linear("trunk.wide") + linear("head.mu_x") + linear("head.logvar_x")
+                    + linear("head.mu_v") + linear("head.logvar_v"))
+        assert list(tiny_nsvae().named_parameters()) == expected
+
+    def test_numeric_error_names_stage_and_frame(self, rng):
+        ns = tiny_nsvae()
+        ns.named_parameters()["trunk.fc0.weight"].data[:] = 2.0
+        frames = rng.normal(size=(4, 5))
+        frames[2] = 1e308                  # frame 2 overflows the first matmul
+        with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match=r"^encode frame 2: "):
+            ns.encode(frames)
+
+
 class TestKlDiagGaussians:
     def test_identical_gives_zero(self, rng):
         mu = rng.normal(size=4)
@@ -188,13 +210,6 @@ class TestPermutationLoss:
         ns.head_logvar_x, ns.head_logvar_v = ns.head_logvar_v, ns.head_logvar_x
         swapped = permutation_loss(ns, nvae, cvae, y, v, x).item()
         assert swapped == base
-
-    def test_reverse_direction_flag_differs(self, rng):
-        ns, cvae, nvae = self.setup_models()
-        y, x, v = (rng.normal(size=(1, 4, 5)) for _ in range(3))
-        fwd = permutation_loss(ns, cvae, nvae, y, x, v).item()
-        rev = permutation_loss(ns, cvae, nvae, y, x, v, reverse_kl=True).item()
-        assert fwd != rev
 
     def test_shape_mismatch_rejected(self, rng):
         ns, cvae, nvae = self.setup_models()

@@ -104,6 +104,15 @@ class TestEncode:
             tiny_model(rng).encode(rng.normal(size=(4, 7)))
 
 
+    def test_numeric_error_names_stage_and_frame(self, rng):
+        m = tiny_model(rng)
+        m.named_parameters()["enc.fc0.weight"].data[:] = 2.0
+        frames = rng.normal(size=(4, 6))
+        frames[2] = 1e308                  # frame 2 overflows the first matmul
+        with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match=r"^encode frame 2: "):
+            m.encode(frames)
+
+
 class TestDecode:
     def test_variance_strictly_positive(self, rng):
         m = tiny_model(rng)
@@ -127,6 +136,33 @@ class TestDecode:
 
         report = ad.grad_check(f, z, step=1e-5, tol=1e-4)
         assert report.passed, str(report)
+
+
+    def test_numeric_error_names_stage_and_frame(self, rng):
+        m = tiny_model(rng)
+        m.named_parameters()["dec.gru.W_r"].data[:] = 2.0
+        z = rng.normal(size=(4, 3))
+        z[2] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match=r"^decode frame 2: "):
+            m.decode(z)
+
+
+class TestNamedParameters:
+    def test_ordered_names_pinned(self):
+        # this order fixes checkpoint names, Adam state order and the
+        # summation order of clip_grad_norm
+        gru = [f"gru.{n}" for n in ("W_r", "W_z", "W_h", "U_r", "U_z", "U_h",
+                                    "b_r", "b_z", "b_h")]
+
+        def linear(prefix):
+            return [f"{prefix}.weight", f"{prefix}.bias"]
+
+        expected = (linear("enc.fc0") + linear("enc.fc1") + linear("enc.fc2")
+                    + [f"enc.{n}" for n in gru] + linear("enc.mu") + linear("enc.logvar")
+                    + [f"dec.{n}" for n in gru] + linear("dec.fc0") + linear("dec.fc1")
+                    + linear("dec.fc2") + linear("dec.mu") + linear("dec.logvar"))
+        assert list(tiny_model().named_parameters()) == expected
+        assert len(tiny_model().parameters()) == len(expected)
 
 
 class TestGaussianLogLikelihood:
