@@ -8,9 +8,10 @@ no higher-order derivatives.
 
 Shape discipline is strict on purpose: elementwise ops require identical
 shapes, the single exception being a scalar (0-d) operand combined with a
-tensor.  Anything else (bias rows, covariance centering) goes through an
-explicit shape op such as `broadcast_rows`, which keeps every gradient rule
-auditable.
+tensor.  Anything else goes through an explicit op, which keeps every
+gradient rule auditable: `broadcast_rows` (covariance centering), or the
+sequence ops `linear_seq` and `gru_seq`, which add bias rows inside a layer
+over a whole time-major stack and carry hand-written backward passes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,16 @@ import numpy as np
 
 
 class NumericError(RuntimeError):
-    """An operation produced NaN or Inf, or a gradient went non-finite."""
+    """An operation produced NaN or Inf, or a gradient went non-finite.
+
+    `row` is the first row (index along axis 0) of the offending result that
+    holds one, when the result has rows; on a time-major (T*B, .) stack it
+    locates the frame.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
@@ -49,8 +59,10 @@ class no_grad:
 
 
 def _validate(data: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(data)):
-        raise NumericError(f"{where}: non-finite values in result")
+    finite = np.isfinite(data)
+    if not finite.all():
+        row = None if data.ndim == 0 else int(np.argmin(finite.reshape(len(data), -1).all(axis=1)))
+        raise NumericError(f"{where}: non-finite values in result", row)
 
 
 class Tensor:
@@ -164,8 +176,10 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...],
             backward_fn: Callable[[np.ndarray], None], op: str) -> Tensor:
-    _validate(data, op)
-    out = Tensor(data)
+    try:
+        out = Tensor(data)                 # the one finiteness scan
+    except NumericError as exc:
+        raise NumericError(f"{op}: non-finite values in result", exc.row) from None
     if _grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -272,6 +286,148 @@ def broadcast_rows(v: Tensor, n: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# sequence ops over time-major stacks
+# ---------------------------------------------------------------------------
+# Row t*B + b of a (T*B, F) stack is frame t of sequence b. Products run as
+# one stacked np.matmul over the (T, B, F) view, which makes the same (B, F)
+# BLAS call for every frame that a frame-by-frame loop makes: frame t's
+# result does not depend on T, which is what keeps the encoders causal to
+# the last bit.  A flat (T*B, F) product would not (BLAS picks its kernel by
+# shape).
+#
+# The backward passes add up gradients in the order of the equivalent
+# per-frame graph of primitive ops (a frame's weight gradient is its own
+# (F, B) @ (B, H) product, added frame by frame), so training takes the
+# same steps to the last bit: one (F, T*B) @ (T*B, H) product would round
+# differently, and training amplifies that into different models.
+
+def _frames(x: Tensor, n_batch: int, op: str) -> np.ndarray:
+    """The C-contiguous (T, B, F) view of a time-major stack."""
+    if x.data.ndim != 2 or n_batch < 1 or x.data.shape[0] % n_batch:
+        raise ValueError(f"{op}: {x.data.shape} is not a time-major stack of batch {n_batch}")
+    rows, width = x.data.shape
+    return np.ascontiguousarray(x.data).reshape(rows // n_batch, n_batch, width)
+
+
+def _check_params(op: str, x: Tensor, params: Sequence[Tensor],
+                  shapes: Sequence[tuple[int, ...]]) -> None:
+    for p, shape in zip(params, shapes):
+        if p.data.shape != shape:
+            raise ValueError(f"{op}: expected a parameter of shape {shape}, got {p.data.shape}")
+        if p.data.dtype != x.data.dtype:
+            raise ValueError(f"{op}: dtype mismatch {x.data.dtype} vs {p.data.dtype}")
+
+
+def linear_seq(x: Tensor, weight: Tensor, bias: Tensor, n_batch: int,
+               relu: bool = False, last_frame_first: bool = False) -> Tensor:
+    """(x @ W) + b per frame of a time-major (T*B, in) stack, then ReLU if
+    `relu`; W is (in, out).
+
+    Weight and bias gradients are added frame by frame, from frame 0 up, or
+    from frame T-1 down with `last_frame_first`: the order in which a layer
+    that feeds a recurrence receives them through time.
+    """
+    x3 = _frames(x, n_batch, "linear_seq")
+    n_in, n_out = x3.shape[2], weight.data.shape[-1]
+    if weight.data.shape[0] != n_in:
+        raise ValueError(f"linear_seq: expected (rows, {weight.data.shape[0]}), got {x.data.shape}")
+    _check_params("linear_seq", x, (weight, bias), ((n_in, n_out), (n_out,)))
+    wd = weight.data
+    pre = (np.matmul(x3, wd) + bias.data).reshape(-1, n_out)
+    if relu:
+        _validate(pre, "linear_seq")       # relu would turn a -inf into 0
+        mask = pre > 0
+    out = np.maximum(pre, 0) if relu else pre
+
+    def back(g):
+        if relu:
+            g = g * mask
+        g3 = g.reshape(x3.shape[:2] + (n_out,))
+        if x.requires_grad:
+            _accumulate(x, np.matmul(g3, wd.T).reshape(-1, n_in))
+        frames = range(len(x3))
+        for t in reversed(frames) if last_frame_first else frames:
+            _accumulate(weight, x3[t].T @ g3[t])
+            _accumulate(bias, g3[t].sum(axis=0))
+
+    return _result(out, (x, weight, bias), back, "linear_seq")
+
+
+def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
+    """Hidden states h_1..h_T, as a (T*B, H) stack, of the GRU documented in
+    `nn.GruLayer` over a time-major (T*B, in) stack from the (B, H) state h0.
+
+    `params` is (W_r, W_z, W_h, U_r, U_z, U_h, b_r, b_z, b_h). The input
+    projections x W of all frames are stacked products; only the h U
+    products run frame by frame. Each gate is computed as (x W + h U) + b,
+    in the order of the gate equations, so the states are bit-identical to
+    those of single-frame calls. The gates are not fused into one
+    [W_r|W_z|W_h] product: at some small widths BLAS rounds that
+    differently from the three separate products. The backward pass is
+    backpropagation through time into x, h0 and all nine weights.
+    """
+    W_r, W_z, W_h, U_r, U_z, U_h, b_r, b_z, b_h = params
+    H = W_r.data.shape[-1]
+    if h0.data.ndim != 2 or h0.data.shape[1] != H or h0.data.dtype != x.data.dtype:
+        raise ValueError(f"gru_seq: state shape {h0.data.shape} ({h0.data.dtype}) does not "
+                         f"match (batch, {H}) ({x.data.dtype})")
+    n_batch = h0.data.shape[0]
+    x3 = _frames(x, n_batch, "gru_seq")
+    n_frames, _, n_in = x3.shape
+    _check_params("gru_seq", x, params, [(n_in, H)] * 3 + [(H, H)] * 3 + [(H,)] * 3)
+
+    # input projections, turned into the gate pre-activations frame by frame
+    a_r, a_z, a_h = (np.matmul(x3, w.data) for w in (W_r, W_z, W_h))
+    hs = np.empty((n_frames + 1, n_batch, H), dtype=x3.dtype)   # hs[t] = h_{t-1}
+    rs, zs, cands = (np.empty_like(a_r) for _ in range(3))      # r, z, h~
+    hs[0] = h0.data
+    for t in range(n_frames):
+        h = hs[t]
+        for a, U, b, gate in ((a_r, U_r, b_r, rs), (a_z, U_z, b_z, zs)):
+            a[t] += h @ U.data
+            a[t] += b.data
+            gate[t] = _sigmoid(a[t])
+        a_h[t] += (rs[t] * h) @ U_h.data
+        a_h[t] += b_h.data
+        cands[t] = np.tanh(a_h[t])
+        hs[t + 1] = (1.0 - zs[t]) * h + zs[t] * cands[t]
+    # sigmoid and tanh would hide an overflowed product; h stays finite otherwise
+    for a in (a_r, a_z, a_h):
+        _validate(a.reshape(-1, H), "gru_seq")
+
+    def back(g):
+        g3 = g.reshape(n_frames, n_batch, H)
+        d_r, d_z, d_h = (np.empty_like(rs) for _ in range(3))   # d pre-activations
+        to_prev = ()                   # frame t+1's terms of dL/dh_t
+        # each line repeats the per-frame graph's ops in its order (dh*c +
+        # -(dh*h), not dh*(c-h)), so the gradients keep their bytes
+        for t in reversed(range(n_frames)):
+            dh = g3[t]
+            for term in to_prev:
+                dh = dh + term
+            h, r, z, c = hs[t], rs[t], zs[t], cands[t]
+            d_z[t] = ((dh * c + -(dh * h)) * z) * (1.0 - z)
+            d_h[t] = (dh * z) * (1.0 - c * c)
+            d_rh = d_h[t] @ U_h.data.T
+            d_r[t] = ((d_rh * h) * r) * (1.0 - r)
+            to_prev = (dh * (1.0 - z), d_z[t] @ U_z.data.T, d_rh * r, d_r[t] @ U_r.data.T)
+            for p, grad in ((W_r, x3[t].T @ d_r[t]), (W_z, x3[t].T @ d_z[t]),
+                            (W_h, x3[t].T @ d_h[t]), (U_r, h.T @ d_r[t]),
+                            (U_z, h.T @ d_z[t]), (U_h, (r * h).T @ d_h[t]),
+                            (b_r, d_r[t].sum(axis=0)), (b_z, d_z[t].sum(axis=0))):
+                _accumulate(p, grad)
+        for t in range(n_frames):      # in the per-frame graph, b_h's arrive from frame 0 up
+            _accumulate(b_h, d_h[t].sum(axis=0))
+        for term in to_prev:
+            _accumulate(h0, term)
+        if x.requires_grad:
+            _accumulate(x, ((np.matmul(d_z, W_z.data.T) + np.matmul(d_h, W_h.data.T))
+                            + np.matmul(d_r, W_r.data.T)).reshape(-1, n_in))
+
+    return _result(hs[1:].reshape(-1, H), (x, h0, *params), back, "gru_seq")
+
+
+# ---------------------------------------------------------------------------
 # elementwise unary ops
 # ---------------------------------------------------------------------------
 
@@ -326,14 +482,16 @@ def tanh(a: Tensor) -> Tensor:
     return _result(out_data, (a,), back, "tanh")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # piecewise form avoids exp overflow for large |x|: 1/(1+e^-x) for
+    # x >= 0 and e^x/(1+e^x) below, both through e = exp(-|x|)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # piecewise form avoids exp overflow for large |x|
-    x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    out_data = _sigmoid(a.data)
 
     def back(g):
         _accumulate(a, g * out_data * (1.0 - out_data))

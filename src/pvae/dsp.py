@@ -101,16 +101,20 @@ def istft(spec: Spectrogram) -> Waveform:
     positive; samples it never covers (only x[0] at these settings) come back
     as zero.
     """
-    n_frames = spec.n_frames
+    n_frames, hop = spec.n_frames, spec.hop
     window = hann_window(spec.frame_len)
-    out_len = (n_frames - 1) * spec.hop + spec.frame_len
+    out_len = (n_frames + 1) * hop
+    segs = np.fft.irfft(spec.frames.T, n=spec.frame_len, axis=1) * window
     acc = np.zeros(out_len)
     norm = np.zeros(out_len)
-    for n in range(n_frames):
-        seg = np.fft.irfft(spec.frames[:, n], n=spec.frame_len)
-        sl = slice(n * spec.hop, n * spec.hop + spec.frame_len)
-        acc[sl] += window * seg
-        norm[sl] += window * window
+    # hop == frame_len / 2: frame n covers blocks n and n + 1. Frame n - 1's
+    # second half goes in before frame n's first half, as in a frame loop
+    # (with two terms onto zero, the sum is the same in either order).
+    for buf, parts in ((acc, segs), (norm, np.broadcast_to(window * window, segs.shape))):
+        later = buf[hop:].reshape(n_frames, hop)
+        later += parts[:, hop:]
+        earlier = buf[:-hop].reshape(n_frames, hop)
+        earlier += parts[:, :hop]
     covered = norm > 0
     out = np.zeros(out_len)
     out[covered] = acc[covered] / norm[covered]

@@ -1,14 +1,17 @@
 """Neural building blocks: fully-connected layers, a uni-directional GRU,
-the encoder trunk the three models share, the per-frame loop that runs
-them over a sequence, Glorot-uniform initialization, global-norm gradient
-clipping, and Adam.
+the encoder trunk the three models share, Glorot-uniform initialization,
+global-norm gradient clipping, and Adam.
 
-Everything operates on `autodiff.Tensor` matrices laid out as
-(batch, features); biases broadcast over the batch through the explicit
-`broadcast_rows` op so every gradient path stays visible.
+Layers run on whole time-major (T*B, features) stacks, row t*B + b being
+frame t of sequence b, through the sequence ops `autodiff.linear_seq` and
+`autodiff.gru_seq`. Those ops make the same per-frame BLAS calls a
+frame-by-frame loop would, so the output for frame t never changes when
+later frames are appended: the encoders are causal bit for bit.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -50,7 +53,8 @@ class Module:
 
 
 class LinearLayer(Module):
-    """y = activation(x @ W + b) with x laid out (batch, in_dim).
+    """y = activation(x @ W + b) per frame of a time-major (T*B, in_dim)
+    stack; a plain (batch, in_dim) matrix is one frame.
 
     `weight` is stored (in_dim, out_dim); activation is "relu" or "none".
     """
@@ -66,20 +70,18 @@ class LinearLayer(Module):
         self.weight = Tensor(init_parameters(in_dim, out_dim, rng, dtype), requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2 or x.data.shape[1] != self.in_dim:
-            raise ValueError(
-                f"linear: expected (batch, {self.in_dim}), got {x.data.shape}")
-        out = ad.add(ad.matmul(x, self.weight),
-                     ad.broadcast_rows(self.bias, x.data.shape[0]))
-        return ad.relu(out) if self.activation == "relu" else out
+    def __call__(self, x: Tensor, n_batch: int | None = None,
+                 last_frame_first: bool = False) -> Tensor:
+        return ad.linear_seq(x, self.weight, self.bias, n_batch or x.data.shape[0],
+                             relu=self.activation == "relu",
+                             last_frame_first=last_frame_first)
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {"weight": self.weight, "bias": self.bias}
 
 
 class GruLayer(Module):
-    """Single uni-directional GRU evaluated frame by frame over a batch.
+    """Single uni-directional GRU over a time-major (T*B, in_dim) stack.
 
     Gate equations (one of several conventions in circulation; this one is
     fixed here and serialized with checkpoints):
@@ -90,8 +92,9 @@ class GruLayer(Module):
         h_t = (1 - z) * h + z * h~
 
     With all-zero weights z = 0.5 and h~ = 0, so h_t = 0.5 h_prev.
-    The hidden state is owned by the caller and must be reset to zeros at
-    utterance (segment) boundaries.
+    A call starts from the zero state, so callers feed whole utterances
+    (segments), never continuations. `ad.gru_seq` is the one implementation;
+    `step` is its single-frame call from a given state.
     """
 
     def __init__(self, in_dim: int, hidden_dim: int,
@@ -114,24 +117,13 @@ class GruLayer(Module):
         dtype = dtype or self.W_r.data.dtype
         return Tensor(np.zeros((batch, self.hidden_dim), dtype=dtype))
 
+    def __call__(self, x: Tensor, n_batch: int) -> Tensor:
+        """Hidden states, (T*B, hidden), from the zero state."""
+        h0 = self.initial_state(n_batch, dtype=x.data.dtype)
+        return ad.gru_seq(x, h0, self.parameters())
+
     def step(self, x_t: Tensor, h_prev: Tensor) -> Tensor:
-        if x_t.data.ndim != 2 or x_t.data.shape[1] != self.in_dim:
-            raise ValueError(f"gru: expected (batch, {self.in_dim}), got {x_t.data.shape}")
-        if h_prev.data.shape != (x_t.data.shape[0], self.hidden_dim):
-            raise ValueError(
-                f"gru: state shape {h_prev.data.shape} does not match "
-                f"({x_t.data.shape[0]}, {self.hidden_dim})")
-        n = x_t.data.shape[0]
-
-        def gate(W, U, b, h_in):
-            return ad.add(ad.add(ad.matmul(x_t, W), ad.matmul(h_in, U)),
-                          ad.broadcast_rows(b, n))
-
-        r = ad.sigmoid(gate(self.W_r, self.U_r, self.b_r, h_prev))
-        z = ad.sigmoid(gate(self.W_z, self.U_z, self.b_z, h_prev))
-        h_tilde = ad.tanh(gate(self.W_h, self.U_h, self.b_h, ad.mul(r, h_prev)))
-        one_minus_z = ad.sub(1.0, z)
-        return ad.add(ad.mul(one_minus_z, h_prev), ad.mul(z, h_tilde))
+        return ad.gru_seq(x_t, h_prev, self.parameters())
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {name: getattr(self, name) for name in
@@ -150,41 +142,23 @@ class EncoderTrunk(Module):
     def layers(self) -> list[tuple[str, Module]]:
         return [(f"fc{i}", layer) for i, layer in enumerate(self.fc)] + [("gru", self.gru)]
 
-    def step(self, x_t: Tensor, h_prev: Tensor) -> Tensor:
-        h = x_t
+    def __call__(self, x: Tensor, n_batch: int) -> Tensor:
+        h = x
         for layer in self.fc:
-            h = layer(h)
-        return self.gru.step(h, h_prev)
+            # these frames' gradients come out of the GRU's backward last frame first
+            h = layer(h, n_batch, last_frame_first=True)
+        return self.gru(h, n_batch)
 
 
-def run_frames(stage: str, stack: Tensor, n_batch: int, gru: GruLayer,
-               step) -> list[Tensor]:
-    """Run `step(x_t, state) -> (state, outputs)` over the frames of a
-    time-major (T*B, F) stack, starting from `gru`'s zero state, and stack
-    each output back to (T*B, .).
-
-    Every frame is processed with ops whose shapes depend only on the batch
-    size, never on the sequence length: BLAS kernels may change summation
-    order with matrix shape, so per-step processing is what makes encoder
-    causality hold bit-exactly (outputs for frame n never move when later
-    frames are appended). A `NumericError` is re-raised naming the stage
-    and the frame.
-    """
-    state = gru.initial_state(n_batch, dtype=stack.data.dtype)
-    total = stack.data.shape[0]
-    if total % n_batch != 0:
-        raise ValueError(f"stack of {total} rows does not divide into batches of {n_batch}")
-    frames = [ad.slice_rows(stack, t * n_batch, (t + 1) * n_batch)
-              for t in range(total // n_batch)]
-    outputs = []
-    for t, x_t in enumerate(frames):
-        try:
-            state, out = step(x_t, state)
-        except NumericError as exc:
-            raise NumericError(f"{stage} frame {t}: {exc}") from exc
-        outputs.append(out)
-    return [parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-            for parts in zip(*outputs)]
+@contextmanager
+def stage(name: str, n_batch: int):
+    """Re-raise a `NumericError` from an op on a time-major stack of batch
+    `n_batch` as "<name> frame <t>: <op>: ..."."""
+    try:
+        yield
+    except NumericError as exc:
+        where = name if exc.row is None else f"{name} frame {exc.row // n_batch}"
+        raise NumericError(f"{where}: {exc}") from exc
 
 
 def clip_grad_norm(params: list[Tensor], max_norm: float = 5.0) -> float:

@@ -8,7 +8,7 @@ and the noise that made up the mixture. No decoder exists here: at
 inference the pretrained decoders consume this encoder's latents.
 
 The model is built on the same skeleton as the pretrained VAEs: the shared
-`nn.EncoderTrunk`, the per-frame `nn.run_frames` loop and `gaussian_head`.
+`nn.EncoderTrunk` and `gaussian_head`, run on whole time-major stacks.
 """
 
 from __future__ import annotations
@@ -47,14 +47,11 @@ class NsvaeModel(FrameModel):
     def encode_batch(self, y_stack: Tensor, n_batch: int) -> tuple[GaussianParams, GaussianParams]:
         """Dual posteriors (speech, noise) for a time-major (T*B, F) stack of
         noisy frames."""
-        def step(y_t, state):
-            state = self.trunk.step(y_t, state)
-            wide = self.fc_wide(state)
-            return state, (*gaussian_head(wide, self.head_mu_x, self.head_logvar_x),
-                           *gaussian_head(wide, self.head_mu_v, self.head_logvar_v))
-
-        mu_x, var_x, mu_v, var_v = nn.run_frames("encode", y_stack, n_batch, self.trunk.gru, step)
-        return GaussianParams(mu_x, var_x), GaussianParams(mu_v, var_v)
+        with nn.stage("encode", n_batch):
+            wide = self.fc_wide(self.trunk(y_stack, n_batch), n_batch)
+            qx = gaussian_head(wide, self.head_mu_x, self.head_logvar_x, n_batch)
+            qv = gaussian_head(wide, self.head_mu_v, self.head_logvar_v, n_batch)
+        return GaussianParams(*qx), GaussianParams(*qv)
 
 
 # ---------------------------------------------------------------------------

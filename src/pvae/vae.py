@@ -8,8 +8,8 @@ reverse and emits a diagonal Gaussian over F bins. `FrameModel` holds what
 this model and `nsvae.NsvaeModel` share.
 
 Batched sequences are laid out time-major: a (B, T, F) batch becomes a
-(T*B, F) matrix whose row t*B + b is frame t of sequence b. `nn.run_frames`
-walks the T row-blocks, one step per frame.
+(T*B, F) matrix whose row t*B + b is frame t of sequence b. Every layer runs
+on the whole stack at once; the same code serves training and inference.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ def reparameterize(q: GaussianParams, rng: np.random.Generator) -> LatentSample:
     return LatentSample(z=z, epsilon=eps)
 
 
-def gaussian_head(h: Tensor, mu_head: nn.LinearLayer,
-                  logvar_head: nn.LinearLayer) -> tuple[Tensor, Tensor]:
+def gaussian_head(h: Tensor, mu_head: nn.LinearLayer, logvar_head: nn.LinearLayer,
+                  n_batch: int) -> tuple[Tensor, Tensor]:
     """Diagonal Gaussian (mu, var) from two linear heads; var is floored."""
-    return mu_head(h), ad.clamp_min(ad.exp(logvar_head(h)), VAR_FLOOR)
+    return mu_head(h, n_batch), ad.clamp_min(ad.exp(logvar_head(h, n_batch)), VAR_FLOOR)
 
 
 class FrameModel(nn.Module):
@@ -143,21 +143,19 @@ class VaeModel(FrameModel):
         GRU state starts at zero: callers are responsible for feeding whole
         segments, never continuations.
         """
-        def step(x_t, state):
-            state = self.trunk.step(x_t, state)
-            return state, gaussian_head(state, self.enc_mu, self.enc_logvar)
-
-        return GaussianParams(*nn.run_frames("encode", x_stack, n_batch, self.trunk.gru, step))
+        with nn.stage("encode", n_batch):
+            h = self.trunk(x_stack, n_batch)
+            mu, var = gaussian_head(h, self.enc_mu, self.enc_logvar, n_batch)
+        return GaussianParams(mu, var)
 
     def decode_batch(self, z_stack: Tensor, n_batch: int) -> GaussianParams:
         """Likelihood parameters for a time-major (T*B, L) latent stack."""
-        def step(z_t, state):
-            state = h = self.dec_gru.step(z_t, state)
+        with nn.stage("decode", n_batch):
+            h = self.dec_gru(z_stack, n_batch)
             for layer in self.dec_fc:
-                h = layer(h)
-            return state, gaussian_head(h, self.dec_mu, self.dec_logvar)
-
-        return GaussianParams(*nn.run_frames("decode", z_stack, n_batch, self.dec_gru, step))
+                h = layer(h, n_batch)
+            mu, var = gaussian_head(h, self.dec_mu, self.dec_logvar, n_batch)
+        return GaussianParams(mu, var)
 
     def decode(self, z) -> GaussianParams:
         arr = _np(z)

@@ -165,6 +165,23 @@ def test_criterion_1_gradient_battery():
           lambda *ps: permutation_loss(ns, cvae, nvae, y, x, v),
           tuple(ns.parameters()))
 
+    # sequence ops on time-major stacks of T = 3 frames of B = 2, gradients
+    # into the inputs, every weight and the initial state
+    gru_shapes = [(3, 4)] * 3 + [(4, 4)] * 3 + [(4,)] * 3
+    sequence_cases = [
+        ("linear_seq", lambda x, w, b: sq_sum(ad.linear_seq(x, w, b, 2)),
+         (t((6, 3)), t((3, 4)), t((4,)))),
+        ("linear_seq relu", lambda x, w, b: sq_sum(ad.linear_seq(x, w, b, 2, relu=True)),
+         (t((6, 3)), t((3, 4)), t((4,)))),
+        ("gru_seq", lambda x, h0, *ps: sq_sum(ad.gru_seq(x, h0, ps)),
+         (t((6, 3)), t((2, 4)), *(t(shape) for shape in gru_shapes))),
+    ]
+    for name, f, xs in sequence_cases:
+        rep = ad.grad_check(f, xs, tol=1e-6)
+        if rep.max_rel_error > worst_prim:
+            worst_prim, worst_prim_name = rep.max_rel_error, name
+        assert rep.passed, f"primitive {name}: {rep}"
+
     elapsed = time.time() - t0
     ok = worst_prim < 1e-6 and worst_rest < 1e-4 and elapsed < 60.0
     _report(1, ok,

@@ -162,6 +162,48 @@ class TestForwardExamples:
         np.testing.assert_allclose((-x).data, [-1.0, -2.0])
 
 
+class TestSigmoidForm:
+    def test_bitwise_equal_to_boolean_index_form(self):
+        # the form the branch-free sigmoid replaced
+        def indexed(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        r = np.random.default_rng(3)
+        special = [0.0, -0.0, 1e-30, -1e-30, 100.5, -100.5, 750.0, -750.0, 1e30, -1e30]
+        for dtype in (np.float32, np.float64):
+            x = np.concatenate([special, r.normal(scale=4.0, size=3000),
+                                r.uniform(-200.0, 200.0, size=1000)]).astype(dtype)
+            for arr in (x, x[:512].reshape(1, 512)):
+                got = ad.sigmoid(Tensor(arr)).data
+                assert got.dtype == dtype
+                assert got.tobytes() == indexed(arr).tobytes()
+
+
+class TestBlasFacts:
+    """Bit-level facts of the numpy/BLAS build that `linear_seq` and
+    `gru_seq` rest on. If an upgrade breaks one, the sequence ops are no
+    longer bit-identical to frame-by-frame evaluation, and encoder
+    causality (outputs for frame n unchanged by later frames) is lost."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_batch", [1, 16])
+    @pytest.mark.parametrize("n_in,n_out", [(4, 8), (64, 64), (257, 512), (512, 512)])
+    def test_stacked_matmul_equals_per_frame_products(self, dtype, n_batch, n_in, n_out):
+        r = np.random.default_rng(n_in + n_batch)
+        x = r.normal(size=(9, n_batch, n_in)).astype(dtype)
+        w = r.normal(size=(n_in, n_out)).astype(dtype)
+        stacked = np.matmul(x, w)
+        for n in range(9):
+            assert stacked[n].tobytes() == (x[n] @ w).tobytes(), (
+                f"BLAS: a stacked ({x.shape}) @ {w.shape} matmul no longer equals the "
+                f"per-frame products bit for bit (frame {n})")
+
+
 class TestBackwardSemantics:
     def test_sum_grad_all_ones(self, rng):
         x = t(rng.normal(size=(3, 4)))

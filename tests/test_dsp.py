@@ -261,3 +261,26 @@ def test_property_round_trip(seed, n):
     rec = dsp.istft(dsp.stft(Waveform(x))).samples
     interior = slice(HOP, len(rec) - HOP)
     np.testing.assert_allclose(rec[interior], x[interior], rtol=1e-6, atol=1e-9)
+
+
+def test_istft_matches_per_frame_loop_bitwise():
+    # the per-frame overlap-add the vectorised istft replaced
+    def loop(spec):
+        window = dsp.hann_window(FRAME_LEN)
+        out_len = (spec.n_frames - 1) * HOP + FRAME_LEN
+        acc, norm = np.zeros(out_len), np.zeros(out_len)
+        for n in range(spec.n_frames):
+            seg = np.fft.irfft(spec.frames[:, n], n=FRAME_LEN)
+            acc[n * HOP:n * HOP + FRAME_LEN] += window * seg
+            norm[n * HOP:n * HOP + FRAME_LEN] += window * window
+        out = np.zeros(out_len)
+        covered = norm > 0
+        out[covered] = acc[covered] / norm[covered]
+        return out
+
+    r = np.random.default_rng(8)
+    for n in (512, 700, 4000, 16000):
+        spec = dsp.stft(Waveform(r.normal(size=n)))
+        # a mask-like gain, so the frames are no longer an exact STFT
+        spec.frames = spec.frames * r.uniform(0.0, 1.0, size=spec.frames.shape)
+        assert dsp.istft(spec).samples.tobytes() == loop(spec).tobytes()

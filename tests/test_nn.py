@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tape_reference
 from pvae import autodiff as ad
 from pvae import nn
 from pvae.autodiff import Tensor
@@ -150,6 +151,50 @@ class TestGru:
         bound = np.maximum(np.abs(h.data), 1.0)
         h_t = gru.step(Tensor(r.normal(size=(2, 3))), h)
         assert np.all(np.abs(h_t.data) <= bound + 1e-12)
+
+
+def _jitter_biases(layer, r):
+    for p in layer.parameters():
+        if p.data.ndim == 1:
+            p.data = r.uniform(-0.5, 0.5, size=p.data.shape).astype(p.data.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_batch", [1, 16])
+@pytest.mark.parametrize("n_in,hidden", [(4, 8), (257, 64)])
+class TestSequenceOpsBitwise:
+    """A whole time-major stack gives the bytes of T single-frame calls and
+    of the per-frame tape composition the sequence ops replaced."""
+
+    T = 7
+
+    def frames(self, x, n_batch):
+        return [Tensor(x[t * n_batch:(t + 1) * n_batch]) for t in range(self.T)]
+
+    def test_gru_seq_equals_chained_steps(self, dtype, n_batch, n_in, hidden):
+        r = np.random.default_rng(n_in + n_batch)
+        gru = nn.GruLayer(n_in, hidden, rng=r, dtype=dtype)
+        _jitter_biases(gru, r)
+        x = r.normal(size=(self.T * n_batch, n_in)).astype(dtype)
+        out = gru(Tensor(x), n_batch).data
+        h = tape = gru.initial_state(n_batch)
+        for t, x_t in enumerate(self.frames(x, n_batch)):
+            h = gru.step(x_t, h)
+            tape = tape_reference.gru_step(gru, x_t, tape)
+            rows = out[t * n_batch:(t + 1) * n_batch]
+            assert rows.tobytes() == h.data.tobytes() == tape.data.tobytes(), f"frame {t}"
+
+    def test_linear_seq_equals_per_frame_layer(self, dtype, n_batch, n_in, hidden):
+        r = np.random.default_rng(n_in + n_batch)
+        for activation in ("relu", "none"):
+            layer = nn.LinearLayer(n_in, hidden, activation, rng=r, dtype=dtype)
+            _jitter_biases(layer, r)
+            x = r.normal(size=(self.T * n_batch, n_in)).astype(dtype)
+            out = layer(Tensor(x), n_batch).data
+            for t, x_t in enumerate(self.frames(x, n_batch)):
+                rows = out[t * n_batch:(t + 1) * n_batch]
+                assert rows.tobytes() == layer(x_t).data.tobytes() == \
+                    tape_reference.linear(layer, x_t).data.tobytes(), f"{activation} frame {t}"
 
 
 class TestClipGradNorm:

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import tape_reference
 from pvae import autodiff as ad
 from pvae import vae
 from pvae.autodiff import Tensor
+from pvae.diploss import SETTINGS, dip_total_loss
+from pvae.nsvae import NsvaeModel, permutation_loss
 from pvae.vae import GaussianParams, VaeModel
 
 
@@ -99,6 +102,23 @@ class TestEncode:
         q_prefix = m.encode(frames[:2])
         assert q_prefix.mu_array.tobytes() == q_full.mu_array[:2].tobytes()
 
+    @pytest.mark.parametrize("model_cls", [VaeModel, NsvaeModel])
+    def test_f_ordered_input_gives_same_bytes(self, model_cls):
+        # enhancement hands the encoder lps(...).T, an F-ordered (T, F) view
+        rng = np.random.default_rng(0)
+        m = model_cls(input_dim=257, hidden_dim=512, latent_dim=128, rng=rng,
+                      dtype=np.float32)
+        frames = rng.normal(size=(257, 6)).T.astype(np.float32)
+        assert not frames.flags.c_contiguous
+
+        def posteriors(arr):               # the NSVAE returns two
+            q = m.encode(arr)
+            return q if isinstance(q, tuple) else (q,)
+
+        for a, b in zip(posteriors(frames), posteriors(np.ascontiguousarray(frames))):
+            assert a.mu_array.tobytes() == b.mu_array.tobytes()
+            assert a.var_array.tobytes() == b.var_array.tobytes()
+
     def test_shape_validation(self, rng):
         with pytest.raises(ValueError, match="expected"):
             tiny_model(rng).encode(rng.normal(size=(4, 7)))
@@ -145,6 +165,45 @@ class TestDecode:
         z[2] = 1e308
         with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match=r"^decode frame 2: "):
             m.decode(z)
+
+
+class TestSequenceOpsMatchPerFrameTape:
+    """Forward values and every parameter gradient of the training losses
+    equal, bit for bit, those of the per-frame graph of primitive ops: the
+    same training steps, so the same trained models."""
+
+    def models(self, dtype):
+        rng = np.random.default_rng(3)
+        dims = dict(input_dim=257, hidden_dim=32, latent_dim=8, rng=rng, dtype=dtype)
+        return VaeModel(role="speech", **dims), VaeModel(role="noise", **dims), NsvaeModel(**dims)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("setting", [1, 2, 3, 4])
+    def test_dip_total_loss(self, dtype, setting):
+        batch = np.random.default_rng(setting).normal(size=(5, 9, 257))
+        runs = []
+        for model in (self.models(dtype)[0], tape_reference.use_tape(self.models(dtype)[0])):
+            loss = dip_total_loss(model, batch, SETTINGS[setting], np.random.default_rng(7))
+            runs.append((loss.data.tobytes(), tape_reference.gradients(model, loss)))
+        assert runs[0][0] == runs[1][0]
+        assert [k for k in runs[0][1] if runs[0][1][k] != runs[1][1][k]] == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_permutation_loss(self, dtype):
+        r = np.random.default_rng(4)
+        y, x, v = (r.normal(size=(5, 9, 257)) for _ in range(3))
+        runs = []
+        for tape in (False, True):
+            cvae, nvae, ns = self.models(dtype)
+            cvae.freeze()
+            nvae.freeze()
+            if tape:
+                for model in (cvae, nvae, ns):
+                    tape_reference.use_tape(model)
+            loss = permutation_loss(ns, cvae, nvae, y, x, v)
+            runs.append((loss.data.tobytes(), tape_reference.gradients(ns, loss)))
+        assert runs[0][0] == runs[1][0]
+        assert [k for k in runs[0][1] if runs[0][1][k] != runs[1][1][k]] == []
 
 
 class TestNamedParameters:
