@@ -123,7 +123,10 @@ class PcaModel:
             raise ValueError("explained_variance must be descending")
 
 
-def _jacobi_eigh(a: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+JACOBI_MAX_SWEEPS = 60
+
+
+def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi sweeps.
 
     Returns (eigenvalues, eigenvectors-as-columns), unordered.
@@ -132,7 +135,7 @@ def _jacobi_eigh(a: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.nd
     n = a.shape[0]
     v = np.eye(n)
     scale = np.linalg.norm(a) + 1e-300
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
         if off <= 1e-14 * scale:
             break
@@ -189,6 +192,7 @@ def pca_transform(model: PcaModel, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CLOUD_COLORS = {"speech": "#1f77b4", "noise": "#d62728"}
+SVG_SIZE = 480                  # px, width and height of the latent scatter
 
 
 def write_latent_csv(path, clouds: list[LatentCloud], pca: PcaModel) -> None:
@@ -201,15 +205,14 @@ def write_latent_csv(path, clouds: list[LatentCloud], pca: PcaModel) -> None:
                 writer.writerow([i, cloud.label, f"{p1:.6f}", f"{p2:.6f}"])
 
 
-def write_latent_svg(path, clouds: list[LatentCloud], pca: PcaModel,
-                     size: int = 480) -> None:
+def write_latent_svg(path, clouds: list[LatentCloud], pca: PcaModel) -> None:
     """Standalone scatter of the 2-D projection, one color per label."""
     projs = [pca_transform(pca, c) for c in clouds]
     allp = np.concatenate(projs, axis=0)
     lo = allp.min(axis=0)
     hi = allp.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
-    pad, plot = 46, size - 2 * 46
+    pad, plot = 46, SVG_SIZE - 2 * 46
 
     def sx(v):
         return pad + plot * (v - lo[0]) / span[0]
@@ -218,16 +221,16 @@ def write_latent_svg(path, clouds: list[LatentCloud], pca: PcaModel,
         return pad + plot * (hi[1] - v) / span[1]
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
         f'<rect x="{pad}" y="{pad}" width="{plot}" height="{plot}" '
         'fill="none" stroke="#888"/>',
-        f'<text x="{size / 2:.0f}" y="{size - 12}" text-anchor="middle" '
+        f'<text x="{SVG_SIZE / 2:.0f}" y="{SVG_SIZE - 12}" text-anchor="middle" '
         'font-family="sans-serif" font-size="13">PC 1</text>',
-        f'<text x="14" y="{size / 2:.0f}" text-anchor="middle" '
+        f'<text x="14" y="{SVG_SIZE / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 14 {size / 2:.0f})">PC 2</text>',
+        f'transform="rotate(-90 14 {SVG_SIZE / 2:.0f})">PC 2</text>',
     ]
     for cloud, proj in zip(clouds, projs):
         color = _CLOUD_COLORS[cloud.label]

@@ -12,6 +12,11 @@ tensor.  Anything else goes through an explicit op, which keeps every
 gradient rule auditable: `broadcast_rows` (covariance centering), or the
 sequence ops `linear_seq` and `gru_seq`, which add bias rows inside a layer
 over a whole time-major stack and carry hand-written backward passes.
+
+The models never call `slice_rows` or `concat`. They stay, with
+`broadcast_rows`, because `tests/tape_reference.py` builds the per-frame
+graph from them, and the bitwise tests of the sequence ops compare against
+that graph.
 """
 
 from __future__ import annotations

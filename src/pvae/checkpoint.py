@@ -15,6 +15,7 @@ Layout (all integers little-endian):
 
 Tensors are stored as float32 regardless of the in-memory training dtype, so
 a save/load round trip is bit-exact exactly when the model runs in float32.
+Models are therefore loaded, and trained, in `MODEL_DTYPE`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .nsvae import NsvaeModel
 from .vae import VaeModel
 
 MAGIC = b"PVAE"
+MODEL_DTYPE = np.float32
 
 
 class CheckpointError(ValueError):
@@ -121,10 +123,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 MODEL_KINDS = {"vae": VaeModel, "nsvae": NsvaeModel}
 
 
-def build_model(cls, config: dict, tensors: dict[str, np.ndarray], path, dtype):
-    """`cls(dtype=dtype, **config)` holding `tensors`, whose names must match
-    the model's exactly; only the keys in `cls.CONFIG_KEYS` are read."""
-    model = cls(dtype=dtype, **{key: config[key] for key in cls.CONFIG_KEYS})
+def build_model(cls, config: dict, tensors: dict[str, np.ndarray], path):
+    """`cls(dtype=MODEL_DTYPE, **config)` holding `tensors`, whose names must
+    match the model's exactly; only the keys in `cls.CONFIG_KEYS` are read."""
+    model = cls(dtype=MODEL_DTYPE, **{key: config[key] for key in cls.CONFIG_KEYS})
     params = model.named_parameters()
     missing = sorted(set(params) - set(tensors))
     extra = sorted(set(tensors) - set(params))
@@ -147,10 +149,10 @@ def save_model(path, model, extra_config: dict | None = None) -> None:
     save_checkpoint(path, config, {name: p.data for name, p in model.named_parameters().items()})
 
 
-def load_model(path, dtype=np.float32):
+def load_model(path):
     config, tensors = load_checkpoint(path)
     kind = config.get("kind")
     cls = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise CheckpointError(f"config: unknown model kind {kind!r}")
-    return build_model(cls, config, tensors, path, dtype)
+    return build_model(cls, config, tensors, path)

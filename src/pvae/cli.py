@@ -25,7 +25,7 @@ from .checkpoint import load_checkpoint, load_model, save_model
 from .config import RunConfig, load_config
 from .datagen import mix_at_snr, synth_dataset
 from .diploss import SETTINGS, LossWeights
-from .dsp import Waveform, load_wav, save_wav
+from .dsp import FRAME_LEN, Waveform, load_wav, save_wav
 from .pipeline import (EnhanceResult, ModelBundle, enhance, enhance_details,
                        load_bundle, pretrain_vae, save_bundle, train_nsvae,
                        write_training_log)
@@ -90,6 +90,12 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_manifest(out_dir: Path, command: str, cfg: RunConfig,
                    extra: dict | None = None) -> None:
     manifest = {
@@ -105,9 +111,7 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig,
     }
     manifest.update(extra or {})
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _load_wav_dir(root: Path) -> list[Waveform]:
@@ -152,22 +156,28 @@ def make_eval_triples(cfg: RunConfig):
 # Metrics exclude the first/last FRAME_LEN-HOP samples: those lie under a
 # single synthesis window whose taper approaches zero, so any spectral
 # modification is amplified without bound there. The comparison stays fair
-# because noisy and enhanced are trimmed identically.
+# because noisy and enhanced are trimmed identically. The trimmed core must
+# still hold one STFT frame for the log-spectral distance.
 EDGE_TRIM = 256
+MIN_EVAL_SAMPLES = FRAME_LEN + 2 * EDGE_TRIM
 
 
 def evaluate_bundle(triples, results: list[EnhanceResult]) -> list[dict]:
     """Metric rows for eval `triples` from their enhancement `results`."""
     rows = []
     for i, (t, res) in enumerate(zip(triples, results)):
+        clip_id = f"clip_{i:03d}"
         out = res.enhanced
         n = len(out)
+        if n < MIN_EVAL_SAMPLES:
+            raise ValueError(f"{clip_id}: enhanced clip has {n} samples, fewer than "
+                             f"the {MIN_EVAL_SAMPLES} that evaluation needs")
         core = slice(EDGE_TRIM, n - EDGE_TRIM)
         ref = t.speech.samples[:n][core]
         noisy = t.mixture.samples[:n][core]
         est = out.samples[core]
         rows.append({
-            "clip_id": f"clip_{i:03d}",
+            "clip_id": clip_id,
             "si_snr_noisy": si_snr(noisy, ref),
             "si_snr_enhanced": si_snr(est, ref),
             "lsd_noisy": log_spectral_distance(noisy, ref),
@@ -223,9 +233,7 @@ def cmd_pretrain(args) -> None:
     write_manifest(out, "pretrain", cfg, {"role": args.role})
     speech, noise = make_datasets(cfg)
     dataset = speech if args.role == "speech" else noise
-    model, log = pretrain_vae(args.role, dataset, cfg.train_config(),
-                              hidden_dim=cfg.hidden_dim,
-                              latent_dim=cfg.latent_dim)
+    model, log = pretrain_vae(args.role, dataset, cfg, cfg.loss_weights())
     save_model(out / f"{args.role}_vae.ckpt", model,
                {"loss_weights": vars(cfg.loss_weights())})
     write_training_log(out / f"{args.role}_vae_log.csv", log)
@@ -248,7 +256,7 @@ def cmd_train_nsvae(args) -> None:
         raise ValueError("--cvae must hold a speech model and --nvae a noise model")
     speech, noise = make_datasets(cfg)
     triples = make_training_triples(cfg, speech, noise)
-    nsvae, log = train_nsvae(cvae, nvae, triples, cfg.train_config())
+    nsvae, log = train_nsvae(cvae, nvae, triples, cfg)
     bundle = ModelBundle(cvae=cvae, nvae=nvae, nsvae=nsvae,
                          cvae_weights=_weights_from_checkpoint(args.cvae),
                          nvae_weights=_weights_from_checkpoint(args.nvae))
@@ -278,9 +286,7 @@ def cmd_evaluate(args) -> None:
     triples = make_eval_triples(cfg)
     rows = evaluate_bundle(triples, [enhance_details(bundle, t.mixture) for t in triples])
     write_metrics_csv(out / "metrics.csv", rows)
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summarize_metrics(rows), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", summarize_metrics(rows))
 
 
 def cmd_latent_viz(args) -> None:
@@ -290,9 +296,7 @@ def cmd_latent_viz(args) -> None:
     bundle = load_bundle(args.bundle)
     stats = export_latents(out, [enhance_details(bundle, t.mixture)
                                  for t in make_eval_triples(cfg)])
-    with open(out / "separation.json", "w") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "separation.json", stats)
 
 
 def run_setting(cfg: RunConfig, setting: int, out_dir: Path) -> dict:
@@ -303,16 +307,13 @@ def run_setting(cfg: RunConfig, setting: int, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     speech, noise = make_datasets(scfg)
-    tc = scfg.train_config(loss_weights=weights)
-    cvae, log_c = pretrain_vae("speech", speech, tc, hidden_dim=cfg.hidden_dim,
-                               latent_dim=cfg.latent_dim)
-    nvae, log_n = pretrain_vae("noise", noise, tc, hidden_dim=cfg.hidden_dim,
-                               latent_dim=cfg.latent_dim)
+    cvae, log_c = pretrain_vae("speech", speech, scfg, weights)
+    nvae, log_n = pretrain_vae("noise", noise, scfg, weights)
     write_training_log(out_dir / "speech_vae_log.csv", log_c)
     write_training_log(out_dir / "noise_vae_log.csv", log_n)
 
     triples = make_training_triples(scfg, speech, noise)
-    nsvae, log_ns = train_nsvae(cvae, nvae, triples, scfg.train_config())
+    nsvae, log_ns = train_nsvae(cvae, nvae, triples, scfg)
     write_training_log(out_dir / "nsvae_log.csv", log_ns)
     bundle = ModelBundle(cvae=cvae, nvae=nvae, nsvae=nsvae,
                          cvae_weights=weights, nvae_weights=weights)
@@ -325,9 +326,7 @@ def run_setting(cfg: RunConfig, setting: int, out_dir: Path) -> dict:
     stats = export_latents(out_dir, results)
     summary = summarize_metrics(rows)
     summary["separation"] = stats
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "summary.json", summary)
 
     return {
         "setting": setting,

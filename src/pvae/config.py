@@ -2,7 +2,9 @@
 
 One file drives every command: topology, training hyperparameters, loss
 weights, synthetic-data sizing, and the seed. Defaults are the full-scale
-values; desk-scale runs override the topology and dataset keys.
+values; desk-scale runs override the topology and dataset keys. `RunConfig`
+is the one config object: the training loops read it directly, and it checks
+its training values when built, naming the key of a rejected value.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .diploss import LossWeights
-from .pipeline import TrainConfig
 
 
 @dataclass
@@ -42,18 +43,21 @@ class RunConfig:
     # empty means synthesize
     data_dir: str = ""
 
+    def __post_init__(self):
+        for key in ("max_epochs", "patience", "batch_size", "segment_len"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.patience >= self.max_epochs:
+            raise ValueError(f"patience must be smaller than max_epochs, got "
+                             f"{self.patience} >= {self.max_epochs}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
+
     def loss_weights(self) -> LossWeights:
         return LossWeights(beta=self.beta, lambda_od=self.lambda_od,
                            lambda_d=self.lambda_d)
-
-    def train_config(self, loss_weights: LossWeights | None = None,
-                     seed: int | None = None) -> TrainConfig:
-        return TrainConfig(
-            max_epochs=self.max_epochs, patience=self.patience,
-            batch_size=self.batch_size, lr=self.lr,
-            seed=self.seed if seed is None else seed,
-            loss_weights=self.loss_weights() if loss_weights is None else loss_weights,
-            segment_len=self.segment_len, val_fraction=self.val_fraction)
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed)

@@ -30,16 +30,14 @@ class WavFormatError(ValueError):
 
 @dataclass
 class Waveform:
+    """Mono samples at SAMPLE_RATE."""
+
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError(f"waveform must be 1-d, got shape {self.samples.shape}")
-        if self.sample_rate != SAMPLE_RATE:
-            raise WavFormatError(
-                f"sample_rate: expected {SAMPLE_RATE} Hz, got {self.sample_rate}")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform contains non-finite samples")
 
@@ -49,20 +47,15 @@ class Waveform:
 
 @dataclass
 class Spectrogram:
-    """One-sided complex STFT, bins x frames."""
+    """One-sided complex STFT, bins x frames, at FRAME_LEN and HOP."""
 
     frames: np.ndarray
-    frame_len: int = FRAME_LEN
-    hop: int = HOP
-    window: str = "hann-periodic"
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames)
-        if self.frames.ndim != 2 or self.frames.shape[0] != self.frame_len // 2 + 1:
+        if self.frames.ndim != 2 or self.frames.shape[0] != F_BINS:
             raise ValueError(
-                f"spectrogram must be ({self.frame_len // 2 + 1}, N), got {self.frames.shape}")
-        if self.hop * 2 != self.frame_len:
-            raise ValueError(f"hop must be frame_len/2, got {self.hop} vs {self.frame_len}")
+                f"spectrogram must be ({F_BINS}, N), got {self.frames.shape}")
 
     @property
     def n_frames(self) -> int:
@@ -101,20 +94,20 @@ def istft(spec: Spectrogram) -> Waveform:
     positive; samples it never covers (only x[0] at these settings) come back
     as zero.
     """
-    n_frames, hop = spec.n_frames, spec.hop
-    window = hann_window(spec.frame_len)
-    out_len = (n_frames + 1) * hop
-    segs = np.fft.irfft(spec.frames.T, n=spec.frame_len, axis=1) * window
+    n_frames = spec.n_frames
+    window = hann_window(FRAME_LEN)
+    out_len = (n_frames + 1) * HOP
+    segs = np.fft.irfft(spec.frames.T, n=FRAME_LEN, axis=1) * window
     acc = np.zeros(out_len)
     norm = np.zeros(out_len)
-    # hop == frame_len / 2: frame n covers blocks n and n + 1. Frame n - 1's
+    # HOP == FRAME_LEN / 2: frame n covers blocks n and n + 1. Frame n - 1's
     # second half goes in before frame n's first half, as in a frame loop
     # (with two terms onto zero, the sum is the same in either order).
     for buf, parts in ((acc, segs), (norm, np.broadcast_to(window * window, segs.shape))):
-        later = buf[hop:].reshape(n_frames, hop)
-        later += parts[:, hop:]
-        earlier = buf[:-hop].reshape(n_frames, hop)
-        earlier += parts[:, :hop]
+        later = buf[HOP:].reshape(n_frames, HOP)
+        later += parts[:, HOP:]
+        earlier = buf[:-HOP].reshape(n_frames, HOP)
+        earlier += parts[:, :HOP]
     covered = norm > 0
     out = np.zeros(out_len)
     out[covered] = acc[covered] / norm[covered]
@@ -192,5 +185,5 @@ def save_wav(path, wav: Waveform) -> None:
     with wave.open(str(path), "wb") as writer:
         writer.setnchannels(1)
         writer.setsampwidth(2)
-        writer.setframerate(wav.sample_rate)
+        writer.setframerate(SAMPLE_RATE)
         writer.writeframes(ints.tobytes())

@@ -179,29 +179,29 @@ def clip_grad_norm(params: list[Tensor], max_norm: float = 5.0) -> float:
     return norm
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction over a fixed parameter list.
 
     Step t uses m_hat = m/(1-b1^t), v_hat = v/(1-b2^t) and
-    theta -= lr * m_hat / (sqrt(v_hat) + eps). Zero gradients leave
-    parameters exactly unchanged because m and v stay zero.
+    theta -= lr * m_hat / (sqrt(v_hat) + eps), with b1, b2 and eps the
+    ADAM_* constants. Zero gradients leave parameters exactly unchanged
+    because m and v stay zero.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
@@ -209,11 +209,11 @@ class Adam:
             if g.shape != p.data.shape:
                 raise ValueError(f"adam: gradient shape {g.shape} does not match "
                                  f"parameter shape {p.data.shape}")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = self.m[i] / b1t
             v_hat = self.v[i] / b2t
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

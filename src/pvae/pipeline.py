@@ -2,9 +2,11 @@
 with early stopping, bundle serialization, and waveform-in/waveform-out
 enhancement.
 
-Training runs in float32 so that checkpoints (which store float32 payloads)
+Training runs in `checkpoint.MODEL_DTYPE` (float32) so that checkpoints
 round-trip bit-exactly; all loops are deterministic functions of (seed,
-config, dataset).
+config, dataset). The loops read their settings from the one `RunConfig`;
+only the pretraining loss weights travel separately, because they are what
+the ablation varies per setting.
 """
 
 from __future__ import annotations
@@ -15,34 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import CHECKPOINT_FORMAT_VERSION, autodiff as ad
-from .checkpoint import CheckpointError, build_model, load_checkpoint, save_checkpoint
+from .checkpoint import (MODEL_DTYPE, CheckpointError, build_model, load_checkpoint,
+                         save_checkpoint)
+from .config import RunConfig
 from .datagen import MixTriple
 from .diploss import LossWeights, dip_total_loss
 from .dsp import Spectrogram, Waveform, apply_mask, istft, lps, lps_to_magnitude, stft
 from .nn import Adam, clip_grad_norm
 from .nsvae import NsvaeModel, permutation_loss
 from .vae import VaeModel, reparameterize
-
-
-@dataclass
-class TrainConfig:
-    max_epochs: int = 500
-    patience: int = 20
-    batch_size: int = 128
-    lr: float = 1e-4
-    seed: int = 0
-    loss_weights: LossWeights = field(default_factory=LossWeights)
-    segment_len: int = 64
-    val_fraction: float = 0.2
-
-    def __post_init__(self):
-        if min(self.max_epochs, self.patience, self.batch_size,
-               self.segment_len) < 1 or self.lr <= 0:
-            raise ValueError("training hyperparameters must be positive")
-        if self.patience >= self.max_epochs:
-            raise ValueError("patience must be smaller than max_epochs")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must lie in (0, 1)")
 
 
 @dataclass
@@ -55,7 +38,6 @@ class ModelBundle:
     nsvae: NsvaeModel
     cvae_weights: LossWeights = field(default_factory=LossWeights)
     nvae_weights: LossWeights = field(default_factory=LossWeights)
-    format_version: int = CHECKPOINT_FORMAT_VERSION
 
     def __post_init__(self):
         dims = {self.cvae.latent_dim, self.nvae.latent_dim, self.nsvae.latent_dim}
@@ -104,7 +86,7 @@ def _split(n: int, val_fraction: float, rng: np.random.Generator):
 # Generic epoch loop
 # ---------------------------------------------------------------------------
 
-def _run_training(model, batch_loss, segments, cfg: TrainConfig):
+def _run_training(model, batch_loss, segments, cfg: RunConfig):
     """Adam + gradient clipping + patience-based early stopping.
 
     batch_loss(indices, rng) -> scalar loss Tensor over those segments.
@@ -166,28 +148,32 @@ def _run_training(model, batch_loss, segments, cfg: TrainConfig):
 # Training entry points
 # ---------------------------------------------------------------------------
 
-def pretrain_vae(role: str, dataset: list[Waveform], cfg: TrainConfig,
-                 hidden_dim: int = 512, latent_dim: int = 128,
-                 dtype=np.float32):
-    """Train one VAE on clean clips of its role; returns (model, log)."""
+def pretrain_vae(role: str, dataset: list[Waveform], cfg: RunConfig,
+                 weights: LossWeights):
+    """Train one VAE of `cfg`'s width on clean clips of its role under the
+    loss `weights`; returns (model, log)."""
     if not dataset:
         raise ValueError("dataset is empty")
     segments = make_segments([waveform_to_lps(w) for w in dataset],
-                             cfg.segment_len).astype(dtype)
-    model = VaeModel(input_dim=segments.shape[2], hidden_dim=hidden_dim,
-                     latent_dim=latent_dim, role=role,
-                     rng=np.random.default_rng(cfg.seed), dtype=dtype)
+                             cfg.segment_len).astype(MODEL_DTYPE)
+    model = VaeModel(input_dim=segments.shape[2], hidden_dim=cfg.hidden_dim,
+                     latent_dim=cfg.latent_dim, role=role,
+                     rng=np.random.default_rng(cfg.seed), dtype=MODEL_DTYPE)
 
     def batch_loss(idx, rng):
-        return dip_total_loss(model, segments[idx], cfg.loss_weights, rng)
+        return dip_total_loss(model, segments[idx], weights, rng)
 
     log = _run_training(model, batch_loss, segments, cfg)
     return model, log
 
 
 def train_nsvae(cvae: VaeModel, nvae: VaeModel, triples: list[MixTriple],
-                cfg: TrainConfig, dtype=np.float32):
-    """Match NSVAE posteriors to the frozen pretrained ones; (model, log)."""
+                cfg: RunConfig):
+    """Match NSVAE posteriors to the frozen pretrained ones; (model, log).
+
+    The NSVAE takes its width and latent size from `cvae`, whose posteriors
+    it must match.
+    """
     if not triples:
         raise ValueError("no training triples")
     if cvae.latent_dim != nvae.latent_dim:
@@ -198,13 +184,13 @@ def train_nsvae(cvae: VaeModel, nvae: VaeModel, triples: list[MixTriple],
 
     seqs = [(waveform_to_lps(t.mixture), waveform_to_lps(t.speech),
              waveform_to_lps(t.noise)) for t in triples]
-    y = make_segments([s[0] for s in seqs], cfg.segment_len).astype(dtype)
-    x = make_segments([s[1] for s in seqs], cfg.segment_len).astype(dtype)
-    v = make_segments([s[2] for s in seqs], cfg.segment_len).astype(dtype)
+    y = make_segments([s[0] for s in seqs], cfg.segment_len).astype(MODEL_DTYPE)
+    x = make_segments([s[1] for s in seqs], cfg.segment_len).astype(MODEL_DTYPE)
+    v = make_segments([s[2] for s in seqs], cfg.segment_len).astype(MODEL_DTYPE)
 
     model = NsvaeModel(input_dim=y.shape[2], hidden_dim=cvae.hidden_dim,
                        latent_dim=cvae.latent_dim,
-                       rng=np.random.default_rng(cfg.seed), dtype=dtype)
+                       rng=np.random.default_rng(cfg.seed), dtype=MODEL_DTYPE)
 
     def batch_loss(idx, rng):
         return permutation_loss(model, cvae, nvae, y[idx], x[idx], v[idx])
@@ -241,8 +227,8 @@ def enhance_details(bundle: ModelBundle, noisy: Waveform,
         qx, qv = bundle.nsvae.encode(y)
         if sample_latent:
             rng = rng or np.random.default_rng(0)
-            z_x = reparameterize(qx, rng).z.data
-            z_v = reparameterize(qv, rng).z.data
+            z_x = reparameterize(qx, rng).data
+            z_v = reparameterize(qv, rng).data
         else:
             z_x = qx.mu_array
             z_v = qv.mu_array
@@ -252,8 +238,7 @@ def enhance_details(bundle: ModelBundle, noisy: Waveform,
     x_mag = lps_to_magnitude(x_lps.astype(np.float64).T)
     v_mag = lps_to_magnitude(v_lps.astype(np.float64).T)
     masked = apply_mask(x_mag, v_mag, spec.frames)
-    out = istft(Spectrogram(frames=masked, frame_len=spec.frame_len,
-                            hop=spec.hop))
+    out = istft(Spectrogram(masked))
     return EnhanceResult(enhanced=out, mask=x_mag / (x_mag + v_mag),
                          speech_lps=x_lps, noise_lps=v_lps,
                          z_speech=z_x, z_noise=z_v)
@@ -280,7 +265,7 @@ def write_training_log(path, log) -> None:
 def save_bundle(path, bundle: ModelBundle) -> None:
     config = {
         "kind": "bundle",
-        "format_version": bundle.format_version,
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "cvae": bundle.cvae.config(),
         "nvae": bundle.nvae.config(),
         "nsvae": bundle.nsvae.config(),
@@ -294,7 +279,7 @@ def save_bundle(path, bundle: ModelBundle) -> None:
     save_checkpoint(path, config, tensors)
 
 
-def load_bundle(path, dtype=np.float32) -> ModelBundle:
+def load_bundle(path) -> ModelBundle:
     config, tensors = load_checkpoint(path)
     if config.get("kind") != "bundle":
         raise CheckpointError(
@@ -303,8 +288,7 @@ def load_bundle(path, dtype=np.float32) -> ModelBundle:
     for prefix, cls in (("cvae", VaeModel), ("nvae", VaeModel), ("nsvae", NsvaeModel)):
         sub = {name[len(prefix) + 1:]: arr for name, arr in tensors.items()
                if name.startswith(prefix + ".")}
-        models[prefix] = build_model(cls, config[prefix], sub, path, dtype)
+        models[prefix] = build_model(cls, config[prefix], sub, path)
     return ModelBundle(**models,
                        cvae_weights=LossWeights(**config["cvae_weights"]),
-                       nvae_weights=LossWeights(**config["nvae_weights"]),
-                       format_version=config["format_version"])
+                       nvae_weights=LossWeights(**config["nvae_weights"]))

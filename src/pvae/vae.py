@@ -59,20 +59,12 @@ class GaussianParams:
         return _np(self.var)
 
 
-@dataclass
-class LatentSample:
-    """A reparameterized draw z = mu + sqrt(var) * epsilon."""
-
-    z: Tensor
-    epsilon: np.ndarray
-
-
-def reparameterize(q: GaussianParams, rng: np.random.Generator) -> LatentSample:
+def reparameterize(q: GaussianParams, rng: np.random.Generator) -> Tensor:
+    """A draw z = mu + sqrt(var) * epsilon, epsilon ~ N(0, I) from `rng`."""
     mu = q.mu if isinstance(q.mu, Tensor) else Tensor(q.mu)
     var = q.var if isinstance(q.var, Tensor) else Tensor(q.var)
     eps = rng.standard_normal(mu.data.shape).astype(mu.data.dtype)
-    z = ad.add(mu, ad.mul(ad.sqrt(var), Tensor(eps)))
-    return LatentSample(z=z, epsilon=eps)
+    return ad.add(mu, ad.mul(ad.sqrt(var), Tensor(eps)))
 
 
 def gaussian_head(h: Tensor, mu_head: nn.LinearLayer, logvar_head: nn.LinearLayer,
@@ -224,8 +216,7 @@ def forward_terms(model: VaeModel, batch: np.ndarray, rng: np.random.Generator):
     n_batch = batch.shape[0]
     x = Tensor(stack_time_major(batch, model.dtype))
     q = model.encode_batch(x, n_batch)
-    sample = reparameterize(q, rng)
-    p = model.decode_batch(sample.z, n_batch)
+    p = model.decode_batch(reparameterize(q, rng), n_batch)
     n_frames = x.data.shape[0]
     inv = 1.0 / n_frames
     nll_mean = ad.mul(gaussian_nll_sum(x, p.mu, p.var), inv)

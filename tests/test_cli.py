@@ -6,13 +6,17 @@ acceptance suite.
 """
 
 import json
+import wave
 
 import numpy as np
 import pytest
 
-from pvae.cli import main
-from pvae.dsp import SAMPLE_RATE, load_wav
-from pvae.pipeline import load_bundle
+from pvae.cli import MIN_EVAL_SAMPLES, evaluate_bundle, main
+from pvae.datagen import mix_at_snr
+from pvae.dsp import SAMPLE_RATE, Waveform, load_wav
+from pvae.nsvae import NsvaeModel
+from pvae.pipeline import ModelBundle, enhance_details, load_bundle
+from pvae.vae import VaeModel
 
 MICRO_CFG = """
 hidden_dim = 8
@@ -39,6 +43,11 @@ def cfg_file(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def frame_rate(path):
+    with wave.open(str(path), "rb") as reader:
+        return reader.getframerate()
 
 
 class TestExitCodes:
@@ -77,8 +86,7 @@ class TestSynthData:
         speech = sorted((out / "speech").glob("*.wav"))
         noise = sorted((out / "noise").glob("*.wav"))
         assert len(speech) == 3 and len(noise) == 3
-        clip = load_wav(speech[0])
-        assert clip.sample_rate == SAMPLE_RATE
+        assert frame_rate(speech[0]) == SAMPLE_RATE
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "synth-data"
         assert manifest["seed"] == 5
@@ -131,8 +139,7 @@ class TestTrainingChain:
         out_wav = tmp_path / "enhanced" / "clean.wav"
         assert run("enhance", "--bundle", str(bundle_path), "--in", str(noisy),
                    "--out", str(out_wav)) == 0
-        enhanced = load_wav(out_wav)
-        assert enhanced.sample_rate == SAMPLE_RATE and len(enhanced) > 0
+        assert frame_rate(out_wav) == SAMPLE_RATE and len(load_wav(out_wav)) > 0
 
         ev = tmp_path / "eval"
         assert run("evaluate", "--config", cfg_file, "--bundle",
@@ -177,3 +184,30 @@ class TestAblation:
             assert (sdir / name).exists(), name
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["settings"] == [3]
+
+
+class TestEvaluateShortClips:
+    """A clip must keep one STFT frame after both edges are trimmed."""
+
+    def triple_and_result(self, n):
+        rng = np.random.default_rng(n)
+        bundle = ModelBundle(
+            cvae=VaeModel(257, 8, 4, "speech", rng=rng, dtype=np.float32),
+            nvae=VaeModel(257, 8, 4, "noise", rng=rng, dtype=np.float32),
+            nsvae=NsvaeModel(257, 8, 4, rng=rng, dtype=np.float32))
+        triple = mix_at_snr(Waveform(0.1 * rng.standard_normal(n)),
+                            Waveform(0.1 * rng.standard_normal(n)), 0.0, rng)
+        return triple, enhance_details(bundle, triple.mixture)
+
+    @pytest.mark.parametrize("n, enhanced", [(560, 512), (800, 768)])
+    def test_rejected_naming_clip_and_lengths(self, n, enhanced):
+        triple, result = self.triple_and_result(n)
+        assert len(result.enhanced) == enhanced
+        with pytest.raises(ValueError, match=f"clip_000: enhanced clip has {enhanced} "
+                                             f"samples, fewer than the 1024 "):
+            evaluate_bundle([triple], [result])
+
+    def test_minimum_length_evaluated(self):
+        triple, result = self.triple_and_result(MIN_EVAL_SAMPLES)
+        (row,) = evaluate_bundle([triple], [result])
+        assert all(np.isfinite(v) for k, v in row.items() if k != "clip_id")

@@ -1,7 +1,13 @@
-"""Configuration file parsing tests."""
+"""Configuration file parsing and validation tests."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pvae
 from pvae.config import RunConfig, load_config, parse_config_text
 from pvae.diploss import LossWeights
 
@@ -18,15 +24,6 @@ class TestDefaults:
     def test_loss_weights_mapping(self):
         cfg = RunConfig(beta=0.0, lambda_od=1e4, lambda_d=1e2)
         assert cfg.loss_weights() == LossWeights(0.0, 1e4, 1e2)
-
-    def test_train_config_mapping(self):
-        tc = RunConfig(max_epochs=9, patience=3, seed=77).train_config()
-        assert (tc.max_epochs, tc.patience, tc.seed) == (9, 3, 77)
-
-    def test_train_config_overrides(self):
-        cfg = RunConfig(seed=1)
-        tc = cfg.train_config(loss_weights=LossWeights(beta=0.0), seed=42)
-        assert tc.seed == 42 and tc.loss_weights.beta == 0.0
 
     def test_with_seed(self):
         assert RunConfig().with_seed(9).seed == 9
@@ -74,3 +71,31 @@ class TestParsing:
         path.write_text("hidden_dim = 32\nbeta = 0.0\n")
         cfg = load_config(path)
         assert cfg.hidden_dim == 32 and cfg.beta == 0.0
+
+
+class TestTrainingValues:
+    def test_defaults_valid(self):
+        cfg = parse_config_text("")
+        assert (cfg.max_epochs, cfg.patience, cfg.batch_size) == (500, 20, 128)
+        assert cfg.lr == 1e-4 and cfg.segment_len == 64
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_epochs", "0"), ("patience", "0"), ("batch_size", "0"),
+        ("lr", "0.0"), ("segment_len", "0"), ("val_fraction", "1.0"),
+        ("lr", "nan")])
+    def test_bad_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            parse_config_text(f"{key} = {value}")
+
+    def test_patience_must_undercut_epochs(self):
+        with pytest.raises(ValueError, match="^patience must be smaller than max_epochs"):
+            parse_config_text("max_epochs = 10\npatience = 10")
+
+
+def test_config_does_not_import_pipeline():
+    """The training loops depend on the config, never the other way round."""
+    src = str(Path(pvae.__file__).resolve().parent.parent)
+    code = "import sys, pvae.config; print('pvae.pipeline' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

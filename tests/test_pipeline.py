@@ -10,12 +10,12 @@ import pytest
 
 import pvae.autodiff as ad
 from pvae.autodiff import Tensor
+from pvae.config import RunConfig
 from pvae.datagen import mix_at_snr, synth_dataset
 from pvae.diploss import LossWeights
 from pvae.dsp import FRAME_LEN, HOP, Waveform, lps, stft
 from pvae.nsvae import NsvaeModel
-from pvae.pipeline import (EnhanceResult, ModelBundle, TrainConfig,
-                           _run_training, enhance, enhance_details,
+from pvae.pipeline import (ModelBundle, _run_training, enhance, enhance_details,
                            load_bundle, make_segments, pretrain_vae,
                            save_bundle, train_nsvae, waveform_to_lps,
                            write_training_log)
@@ -23,10 +23,13 @@ from pvae.vae import VaeModel, elbo_loss
 
 
 def tiny_cfg(**kw):
-    base = dict(max_epochs=12, patience=10, batch_size=4, lr=1e-3, seed=7,
-                segment_len=16)
+    base = dict(hidden_dim=8, latent_dim=4, max_epochs=12, patience=10,
+                batch_size=4, lr=1e-3, seed=7, segment_len=16)
     base.update(kw)
-    return TrainConfig(**base)
+    return RunConfig(**base)
+
+
+ELBO = LossWeights()
 
 
 def clips(kind, n, seed, dur=0.7):
@@ -42,25 +45,6 @@ def tiny_bundle(seed=0):
     ns = NsvaeModel(input_dim=257, hidden_dim=8, latent_dim=4, rng=rng,
                     dtype=np.float32)
     return ModelBundle(cvae=cvae, nvae=nvae, nsvae=ns)
-
-
-class TestTrainConfig:
-    def test_defaults_valid(self):
-        cfg = TrainConfig()
-        assert (cfg.max_epochs, cfg.patience, cfg.batch_size) == (500, 20, 128)
-        assert cfg.lr == 1e-4 and cfg.segment_len == 64
-
-    @pytest.mark.parametrize("kw", [dict(max_epochs=0), dict(patience=0),
-                                    dict(batch_size=0), dict(lr=0.0),
-                                    dict(segment_len=0),
-                                    dict(val_fraction=1.0)])
-    def test_bad_values_rejected(self, kw):
-        with pytest.raises(ValueError):
-            TrainConfig(**kw)
-
-    def test_patience_must_undercut_epochs(self):
-        with pytest.raises(ValueError, match="patience"):
-            TrainConfig(max_epochs=10, patience=10)
 
 
 class TestSegments:
@@ -124,15 +108,13 @@ class TestLoopMechanics:
 class TestPretrain:
     def test_loss_trend_decreases(self):
         cfg = tiny_cfg(max_epochs=15, patience=14)
-        model, log = pretrain_vae("speech", clips("speech", 6, 11), cfg,
-                                  hidden_dim=8, latent_dim=4)
+        model, log = pretrain_vae("speech", clips("speech", 6, 11), cfg, ELBO)
         train = [r[1] for r in log]
         assert np.mean(train[-3:]) < np.mean(train[:3])
 
     def test_log_shape_and_best_val_restored(self):
         cfg = tiny_cfg()
-        model, log = pretrain_vae("noise", clips("noise", 6, 12), cfg,
-                                  hidden_dim=8, latent_dim=4)
+        model, log = pretrain_vae("noise", clips("noise", 6, 12), cfg, ELBO)
         assert all(len(r) == 3 for r in log)
         epochs = [r[0] for r in log]
         assert epochs == list(range(1, len(log) + 1))
@@ -143,10 +125,8 @@ class TestPretrain:
         run under the configurable loss must equal a plain-ELBO run to the
         last bit."""
         data = clips("speech", 5, 13)
-        cfg = tiny_cfg(max_epochs=4, patience=3,
-                       loss_weights=LossWeights(beta=1.0))
-        m_dip, log_dip = pretrain_vae("speech", data, cfg,
-                                      hidden_dim=8, latent_dim=4)
+        cfg = tiny_cfg(max_epochs=4, patience=3)
+        m_dip, log_dip = pretrain_vae("speech", data, cfg, LossWeights(beta=1.0))
 
         segments = make_segments([waveform_to_lps(w) for w in data],
                                  cfg.segment_len).astype(np.float32)
@@ -164,13 +144,13 @@ class TestPretrain:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            pretrain_vae("speech", [], tiny_cfg())
+            pretrain_vae("speech", [], tiny_cfg(), ELBO)
 
     def test_same_seed_rerun_bit_identical(self):
         data = clips("speech", 5, 14)
         cfg = tiny_cfg(max_epochs=3, patience=2)
-        m1, log1 = pretrain_vae("speech", data, cfg, hidden_dim=8, latent_dim=4)
-        m2, log2 = pretrain_vae("speech", data, cfg, hidden_dim=8, latent_dim=4)
+        m1, log1 = pretrain_vae("speech", data, cfg, ELBO)
+        m2, log2 = pretrain_vae("speech", data, cfg, ELBO)
         assert log1 == log2
         for n, p in m1.named_parameters().items():
             assert p.data.tobytes() == m2.named_parameters()[n].data.tobytes()
@@ -186,10 +166,8 @@ def make_triples(n, seed):
 class TestTrainNsvae:
     def pretrained_pair(self, seed=21):
         cfg = tiny_cfg(max_epochs=2, patience=1, seed=seed)
-        cvae, _ = pretrain_vae("speech", clips("speech", 4, seed), cfg,
-                               hidden_dim=8, latent_dim=4)
-        nvae, _ = pretrain_vae("noise", clips("noise", 4, seed + 1), cfg,
-                               hidden_dim=8, latent_dim=4)
+        cvae, _ = pretrain_vae("speech", clips("speech", 4, seed), cfg, ELBO)
+        nvae, _ = pretrain_vae("noise", clips("noise", 4, seed + 1), cfg, ELBO)
         return cvae, nvae
 
     def test_loss_trend_and_frozen_targets(self):
