@@ -13,6 +13,10 @@ gradient rule auditable: `broadcast_rows` (covariance centering), or the
 sequence ops `linear_seq` and `gru_seq`, which add bias rows inside a layer
 over a whole time-major stack and carry hand-written backward passes.
 
+Gradients are summed without mutating any array that a `grad` ever pointed
+to: an op adds its terms into buffers it owns and binds `grad` once, so an
+array passed down the graph may be shared between nodes and leaves.
+
 The models never call `slice_rows` or `concat`. They stay, with
 `broadcast_rows`, because `tests/tape_reference.py` builds the per-frame
 graph from them, and the bitwise tests of the sequence ops compare against
@@ -74,8 +78,10 @@ class Tensor:
     """A numpy array plus an optional gradient and a backward closure.
 
     `data` is float32 or float64; `grad`, once materialized, always matches
-    `data` in shape and dtype.  Gradients are never mutated in place: each
-    accumulation rebinds `grad`, so aliasing a propagated array is safe.
+    `data` in shape and dtype.  An array bound to `grad` is never mutated in
+    place: each accumulation rebinds `grad` (the sequence ops sum into a
+    buffer of their own and bind it once), so aliasing a propagated array
+    is safe.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -180,11 +186,19 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...],
-            backward_fn: Callable[[np.ndarray], None], op: str) -> Tensor:
-    try:
-        out = Tensor(data)                 # the one finiteness scan
-    except NumericError as exc:
-        raise NumericError(f"{op}: non-finite values in result", exc.row) from None
+            backward_fn: Callable[[np.ndarray], None], op: str,
+            scanned: bool = False) -> Tensor:
+    # `scanned`: the op has already checked every value that could make
+    # `data` non-finite, so the scan is not repeated
+    if scanned:
+        out = Tensor.__new__(Tensor)
+        out.data, out.grad, out.requires_grad = data, None, False
+        out._parents, out._backward = (), None
+    else:
+        try:
+            out = Tensor(data)             # the one finiteness scan
+        except NumericError as exc:
+            raise NumericError(f"{op}: non-finite values in result", exc.row) from None
     if _grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -305,6 +319,8 @@ def broadcast_rows(v: Tensor, n: int) -> Tensor:
 # (F, B) @ (B, H) product, added frame by frame), so training takes the
 # same steps to the last bit: one (F, T*B) @ (T*B, H) product would round
 # differently, and training amplifies that into different models.
+# `_sum_frames` does those adds in place, in one buffer the op owns, and
+# binds the parameter's `grad` once per op.
 
 def _frames(x: Tensor, n_batch: int, op: str) -> np.ndarray:
     """The C-contiguous (T, B, F) view of a time-major stack."""
@@ -321,6 +337,33 @@ def _check_params(op: str, x: Tensor, params: Sequence[Tensor],
             raise ValueError(f"{op}: expected a parameter of shape {shape}, got {p.data.shape}")
         if p.data.dtype != x.data.dtype:
             raise ValueError(f"{op}: dtype mismatch {x.data.dtype} vs {p.data.dtype}")
+
+
+def _sum_frames(p: Tensor, frames: Iterable[int],
+                term: Callable[[int, np.ndarray], None]) -> None:
+    """Add the per-frame gradient terms of parameter `p` in the order of
+    `frames`: ((G + g_first) + g_second) + ..., G being `p.grad` if set.
+
+    `term(t, out)` writes frame t's term into `out`. The sum grows in a
+    buffer this call owns, a copy of G when there is one, so no array that
+    `grad` ever pointed to is written; `grad` is bound once at the end.
+    """
+    if not p.requires_grad:
+        return
+    frames = iter(frames)
+    if p.grad is None:
+        first = next(frames, None)
+        if first is None:
+            return
+        acc = np.empty(p.data.shape, p.data.dtype)
+        term(first, acc)
+    else:
+        acc = p.grad.copy()
+    buf = np.empty(p.data.shape, p.data.dtype)
+    for t in frames:
+        term(t, buf)
+        np.add(acc, buf, out=acc)
+    p.grad = acc
 
 
 def linear_seq(x: Tensor, weight: Tensor, bias: Tensor, n_batch: int,
@@ -351,11 +394,12 @@ def linear_seq(x: Tensor, weight: Tensor, bias: Tensor, n_batch: int,
         if x.requires_grad:
             _accumulate(x, np.matmul(g3, wd.T).reshape(-1, n_in))
         frames = range(len(x3))
-        for t in reversed(frames) if last_frame_first else frames:
-            _accumulate(weight, x3[t].T @ g3[t])
-            _accumulate(bias, g3[t].sum(axis=0))
+        if last_frame_first:
+            frames = frames[::-1]
+        _sum_frames(weight, frames, lambda t, out: np.matmul(x3[t].T, g3[t], out=out))
+        _sum_frames(bias, frames, lambda t, out: np.sum(g3[t], axis=0, out=out))
 
-    return _result(out, (x, weight, bias), back, "linear_seq")
+    return _result(out, (x, weight, bias), back, "linear_seq", scanned=relu)
 
 
 def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
@@ -406,7 +450,8 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
         to_prev = ()                   # frame t+1's terms of dL/dh_t
         # each line repeats the per-frame graph's ops in its order (dh*c +
         # -(dh*h), not dh*(c-h)), so the gradients keep their bytes
-        for t in reversed(range(n_frames)):
+        last_first = range(n_frames - 1, -1, -1)
+        for t in last_first:
             dh = g3[t]
             for term in to_prev:
                 dh = dh + term
@@ -416,20 +461,22 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
             d_rh = d_h[t] @ U_h.data.T
             d_r[t] = ((d_rh * h) * r) * (1.0 - r)
             to_prev = (dh * (1.0 - z), d_z[t] @ U_z.data.T, d_rh * r, d_r[t] @ U_r.data.T)
-            for p, grad in ((W_r, x3[t].T @ d_r[t]), (W_z, x3[t].T @ d_z[t]),
-                            (W_h, x3[t].T @ d_h[t]), (U_r, h.T @ d_r[t]),
-                            (U_z, h.T @ d_z[t]), (U_h, (r * h).T @ d_h[t]),
-                            (b_r, d_r[t].sum(axis=0)), (b_z, d_z[t].sum(axis=0))):
-                _accumulate(p, grad)
-        for t in range(n_frames):      # in the per-frame graph, b_h's arrive from frame 0 up
-            _accumulate(b_h, d_h[t].sum(axis=0))
+        # the weight terms, each parameter in one pass from the last frame
+        # down; in the per-frame graph, b_h's arrive from frame 0 up
+        rh = rs * hs[:-1]
+        for p, lhs, d in ((W_r, x3, d_r), (W_z, x3, d_z), (W_h, x3, d_h),
+                          (U_r, hs, d_r), (U_z, hs, d_z), (U_h, rh, d_h)):
+            _sum_frames(p, last_first, lambda t, out: np.matmul(lhs[t].T, d[t], out=out))
+        for p, d, frames in ((b_r, d_r, last_first), (b_z, d_z, last_first),
+                             (b_h, d_h, range(n_frames))):
+            _sum_frames(p, frames, lambda t, out: np.sum(d[t], axis=0, out=out))
         for term in to_prev:
             _accumulate(h0, term)
         if x.requires_grad:
             _accumulate(x, ((np.matmul(d_z, W_z.data.T) + np.matmul(d_h, W_h.data.T))
                             + np.matmul(d_r, W_r.data.T)).reshape(-1, n_in))
 
-    return _result(hs[1:].reshape(-1, H), (x, h0, *params), back, "gru_seq")
+    return _result(hs[1:].reshape(-1, H), (x, h0, *params), back, "gru_seq", scanned=True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ One file drives every command: topology, training hyperparameters, loss
 weights, synthetic-data sizing, and the seed. Defaults are the full-scale
 values; desk-scale runs override the topology and dataset keys. `RunConfig`
 is the one config object: the training loops read it directly, and it checks
-its training values when built, naming the key of a rejected value.
+its topology, training and data-size values when built, naming the key of a
+rejected value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .diploss import LossWeights
@@ -44,9 +46,12 @@ class RunConfig:
     data_dir: str = ""
 
     def __post_init__(self):
-        for key in ("max_epochs", "patience", "batch_size", "segment_len"):
+        for key in ("hidden_dim", "latent_dim", "max_epochs", "patience", "batch_size",
+                    "segment_len", "n_speech", "n_noise", "n_eval"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not 0.0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.patience >= self.max_epochs:

@@ -7,6 +7,11 @@ frame t of sequence b, through the sequence ops `autodiff.linear_seq` and
 `autodiff.gru_seq`. Those ops make the same per-frame BLAS calls a
 frame-by-frame loop would, so the output for frame t never changes when
 later frames are appended: the encoders are causal bit for bit.
+
+The training step never writes an array a caller may hold: the ops sum
+gradients in buffers they own and bind `grad` once, `clip_grad_norm` binds
+a new `grad`, and `Adam` writes only its own moment buffers and binds a new
+`p.data`.
 """
 
 from __future__ import annotations
@@ -162,20 +167,23 @@ def stage(name: str, n_batch: int):
 
 
 def clip_grad_norm(params: list[Tensor], max_norm: float = 5.0) -> float:
-    """Scale all gradients in place so their global L2 norm is <= max_norm.
+    """Scale all gradients so their global L2 norm is <= max_norm.
 
     Returns the pre-clip norm. Parameters without gradients are skipped.
+    A scaled gradient is a new array bound to `grad`; the old one is not
+    written.
     """
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+            sq = p.grad.astype(np.float64)         # a copy, so squared in place
+            total += float(np.sum(np.square(sq, out=sq)))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:
-                p.grad = (p.grad * scale).astype(p.grad.dtype)
+                p.grad = (p.grad * scale).astype(p.grad.dtype, copy=False)
     return norm
 
 
@@ -188,7 +196,9 @@ class Adam:
     Step t uses m_hat = m/(1-b1^t), v_hat = v/(1-b2^t) and
     theta -= lr * m_hat / (sqrt(v_hat) + eps), with b1, b2 and eps the
     ADAM_* constants. Zero gradients leave parameters exactly unchanged
-    because m and v stay zero.
+    because m and v stay zero. `m` and `v` are updated in place; `p.data`
+    is rebound to a new array. A gradient must match its parameter in
+    shape and dtype.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-4):
@@ -207,13 +217,28 @@ class Adam:
             if g is None:
                 continue
             if g.shape != p.data.shape:
-                raise ValueError(f"adam: gradient shape {g.shape} does not match "
-                                 f"parameter shape {p.data.shape}")
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = self.m[i] / b1t
-            v_hat = self.v[i] / b2t
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                raise ValueError(f"adam: parameter {i}: gradient shape {g.shape} does not "
+                                 f"match parameter shape {p.data.shape}")
+            if g.dtype != p.data.dtype:
+                raise ValueError(f"adam: parameter {i}: gradient dtype {g.dtype} does not "
+                                 f"match parameter dtype {p.data.dtype}")
+            # the ops of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
+            # p - lr*m_hat / (sqrt(v_hat) + eps), in their order, in place
+            m, v = self.m[i], self.v[i]
+            tmp = np.multiply(g, 1.0 - ADAM_BETA1)
+            m *= ADAM_BETA1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
+            v += tmp
+            den = np.divide(v, b2t)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            step = np.divide(m, b1t, out=tmp)
+            step *= self.lr
+            step /= den
+            p.data = p.data - step         # rebound: callers may hold the old array
 
     def zero_grad(self) -> None:
         for p in self.params:

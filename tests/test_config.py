@@ -87,6 +87,19 @@ class TestTrainingValues:
         with pytest.raises(ValueError, match=f"^{key} must"):
             parse_config_text(f"{key} = {value}")
 
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_dim", "0"), ("latent_dim", "0"), ("n_speech", "0"), ("n_noise", "0"),
+        ("n_eval", "0"), ("hidden_dim", "-3"), ("duration_s", "0.0"), ("duration_s", "-1.5"),
+        ("duration_s", "inf"), ("duration_s", "nan")])
+    def test_bad_topology_and_data_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            parse_config_text(f"{key} = {value}")
+
+    def test_smallest_topology_and_data_values_accepted(self):
+        cfg = parse_config_text("hidden_dim = 1\nlatent_dim = 1\nn_speech = 1\n"
+                                "n_noise = 1\nn_eval = 1\nduration_s = 0.1")
+        assert (cfg.hidden_dim, cfg.n_eval, cfg.duration_s) == (1, 1, 0.1)
+
     def test_patience_must_undercut_epochs(self):
         with pytest.raises(ValueError, match="^patience must be smaller than max_epochs"):
             parse_config_text("max_epochs = 10\npatience = 10")

@@ -258,3 +258,194 @@ class TestAdam:
         p.grad = np.zeros(4)
         with pytest.raises(ValueError, match="shape"):
             opt.step()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_batch", [1, 16])
+class TestGradientBuffers:
+    """The sequence ops sum each weight gradient in a buffer of their own.
+    A layer called twice in one graph finds `grad` set by the other call
+    and must continue the per-frame order from a copy of it; no array that
+    a `grad` pointed to is ever written."""
+
+    T, n_in, hidden = 5, 6, 8
+
+    def setup_layers(self, dtype, n_batch):
+        r = np.random.default_rng(7 + n_batch)
+        linear = nn.LinearLayer(self.n_in, self.hidden, "relu", rng=r, dtype=dtype)
+        gru = nn.GruLayer(self.n_in, self.hidden, rng=r, dtype=dtype)
+        _jitter_biases(linear, r)
+        _jitter_biases(gru, r)
+        rows = self.T * n_batch
+        xs = [Tensor(r.normal(size=(rows, self.n_in)).astype(dtype)) for _ in range(2)]
+        weights = [Tensor(r.normal(size=(rows, self.hidden)).astype(dtype)) for _ in range(2)]
+        return linear, gru, xs, weights
+
+    def sequence_loss(self, layer, xs, weights, n_batch):
+        a, b = (ad.tsum(ad.mul(layer(x, n_batch), w)) for x, w in zip(xs, weights))
+        return ad.add(a, b)
+
+    def tape_loss(self, layer, xs, weights, n_batch):
+        def call(x):
+            frames = [ad.slice_rows(x, t * n_batch, (t + 1) * n_batch) for t in range(self.T)]
+            if isinstance(layer, nn.GruLayer):
+                outs, h = [], layer.initial_state(n_batch, dtype=x.dtype)
+                for x_t in frames:
+                    h = tape_reference.gru_step(layer, x_t, h)
+                    outs.append(h)
+            else:
+                outs = [tape_reference.linear(layer, x_t) for x_t in frames]
+            return ad.concat(outs, axis=0)
+        a, b = (ad.tsum(ad.mul(call(x), w)) for x, w in zip(xs, weights))
+        return ad.add(a, b)
+
+    def grads(self, layer, loss):
+        for p in layer.parameters():
+            p.grad = None
+        ad.backward(loss)
+        return [p.grad.tobytes() for p in layer.parameters()]
+
+    def test_two_calls_match_per_frame_tape(self, dtype, n_batch):
+        linear, gru, xs, weights = self.setup_layers(dtype, n_batch)
+        for layer in (linear, gru):
+            got = self.grads(layer, self.sequence_loss(layer, xs, weights, n_batch))
+            expect = self.grads(layer, self.tape_loss(layer, xs, weights, n_batch))
+            names = list(layer.named_parameters())
+            assert [n for n, g, e in zip(names, got, expect) if g != e] == []
+
+    def test_held_and_shared_grads_never_written(self, dtype, n_batch):
+        linear, gru, xs, weights = self.setup_layers(dtype, n_batch)
+        for layer in (linear, gru):
+            params = layer.parameters()
+            for p in params:
+                p.grad = None
+            ad.backward(self.sequence_loss(layer, xs, weights, n_batch))
+            held = [p.grad for p in params]
+            held_bytes = [g.tobytes() for g in held]
+            ad.backward(self.sequence_loss(layer, xs, weights, n_batch))
+            assert [g.tobytes() for g in held] == held_bytes
+            assert all(p.grad is not g for p, g in zip(params, held))
+
+            # one array bound to a parameter's grad and to another leaf's
+            shared = [np.ones_like(p.data) for p in params]
+            others = [Tensor(np.zeros_like(p.data), requires_grad=True) for p in params]
+            for p, other, s in zip(params, others, shared):
+                p.grad = other.grad = s
+            ad.backward(self.sequence_loss(layer, xs, weights, n_batch))
+            for p, other, s in zip(params, others, shared):
+                assert other.grad is s
+                assert s.tobytes() == np.ones_like(s).tobytes()
+                assert p.grad is not s
+
+
+class _ReferenceAdam:
+    """`nn.Adam.step` as it was written before it updated m and v in place:
+    one fresh array per operation."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = params, lr, 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        b1, b2, eps = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS
+        self.t += 1
+        b1t = 1.0 - b1 ** self.t
+        b2t = 1.0 - b2 ** self.t
+        for i, p in enumerate(self.params):
+            g = p.grad
+            if g is None:
+                continue
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
+            m_hat = self.m[i] / b1t
+            v_hat = self.v[i] / b2t
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _reference_clip(grads, max_norm):
+    """`nn.clip_grad_norm`'s formulas on a list of arrays (None skipped)."""
+    total = 0.0
+    for g in grads:
+        if g is not None:
+            total += float(np.sum(g.astype(np.float64) ** 2))
+    norm = float(np.sqrt(total))
+    if norm > max_norm and norm > 0:
+        scale = max_norm / norm
+        grads = [None if g is None else (g * scale).astype(g.dtype) for g in grads]
+    return norm, grads
+
+
+def _param_set(dtype, r):
+    shapes = [(7, 5), (5,), (3, 3), (4,)]
+    return [Tensor(r.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestOptimiserBitwise:
+    """Adam and clipping keep the bytes of the one-array-per-operation
+    formulas, kept above as the reference."""
+
+    def test_adam_steps_match_reference(self, dtype):
+        r = np.random.default_rng(3)
+        params = _param_set(dtype, r)
+        twins = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+        opt, ref = nn.Adam(params, lr=3e-3), _ReferenceAdam(twins, lr=3e-3)
+        for step in range(6):
+            grads = [r.normal(size=p.data.shape).astype(dtype) * 10.0 ** (step - 3)
+                     for p in params]
+            grads[1] = None if step % 2 else grads[1]        # a parameter without grad
+            grads[2] = np.zeros_like(grads[2]) if step < 3 else grads[2]
+            for p, twin, g in zip(params, twins, grads):
+                p.grad = g
+                twin.grad = None if g is None else g.copy()
+            held = [p.data for p in params]
+            held_bytes = [d.tobytes() for d in held]
+            opt.step()
+            ref.step()
+            for i, (p, twin) in enumerate(zip(params, twins)):
+                assert p.data.dtype == dtype
+                assert p.data.tobytes() == twin.data.tobytes(), f"step {step} param {i}"
+                assert opt.m[i].tobytes() == ref.m[i].tobytes()
+                assert opt.v[i].tobytes() == ref.v[i].tobytes()
+                if grads[i] is not None:
+                    assert p.data is not held[i]            # rebound, not written
+            assert [d.tobytes() for d in held] == held_bytes
+
+    def test_adam_rejects_dtype_mismatch(self, dtype):
+        other = np.float64 if dtype == np.float32 else np.float32
+        params = _param_set(dtype, np.random.default_rng(4))
+        opt = nn.Adam(params)
+        params[0].grad = np.zeros(params[0].data.shape, dtype=dtype)
+        params[2].grad = np.zeros(params[2].data.shape, dtype=other)
+        with pytest.raises(ValueError, match="^adam: parameter 2: gradient dtype"):
+            opt.step()
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 100.0])
+    def test_clip_matches_reference(self, dtype, scale):
+        r = np.random.default_rng(5)
+        params = _param_set(dtype, r)
+        for p in params:
+            p.grad = r.normal(size=p.data.shape).astype(dtype) * scale
+        params[1].grad = None
+        held = [p.grad for p in params]
+        held_bytes = [None if g is None else g.tobytes() for g in held]
+        norm_ref, expect = _reference_clip(held, max_norm=5.0)
+        norm = nn.clip_grad_norm(params, max_norm=5.0)
+        assert norm == norm_ref
+        for p, e in zip(params, expect):
+            assert (p.grad is None) == (e is None)
+            if e is not None:
+                assert p.grad.dtype == dtype and p.grad.tobytes() == e.tobytes()
+        assert [None if g is None else g.tobytes() for g in held] == held_bytes
+        clipped = norm > 5.0
+        assert clipped == (scale == 100.0)
+        assert all((p.grad is g) != clipped for p, g in zip(params, held) if g is not None)
+
+    def test_clip_zero_gradients(self, dtype):
+        params = _param_set(dtype, np.random.default_rng(6))
+        for p in params:
+            p.grad = np.zeros_like(p.data)
+        held = [p.grad for p in params]
+        assert nn.clip_grad_norm(params, max_norm=5.0) == 0.0
+        assert all(p.grad is g for p, g in zip(params, held))
