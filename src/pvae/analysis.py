@@ -3,8 +3,8 @@
 SI-SNR is the headline enhancement metric; log-spectral distance is a
 spectral proxy reported alongside it. Latent structure is summarized two
 ways: separation statistics computed in the full latent space, and a 2-D
-PCA projection (cyclic Jacobi, no linear-algebra imports) used only for
-visual export.
+PCA projection (the top two eigenvectors of the population covariance,
+from `np.linalg.eigh`) used only for visual export.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def separation_stats(speech, noise) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# PCA by cyclic Jacobi rotations
+# PCA
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -123,41 +123,6 @@ class PcaModel:
             raise ValueError("explained_variance must be descending")
 
 
-JACOBI_MAX_SWEEPS = 60
-
-
-def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unordered.
-    """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = np.linalg.norm(a) + 1e-300
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-20 * scale:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(tau, 1.0)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                for m in (a, a.T):      # rows then columns (a is symmetric)
-                    mp, mq = m[p].copy(), m[q].copy()
-                    m[p] = c * mp - s * mq
-                    m[q] = s * mp + c * mq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
-
-
 def pca_fit(points) -> PcaModel:
     """Top-2 principal axes of a point set (population covariance)."""
     if isinstance(points, (list, tuple)):
@@ -172,7 +137,7 @@ def pca_fit(points) -> PcaModel:
     mean = pts.mean(axis=0)
     centered = pts - mean
     cov = centered.T @ centered / n
-    eigvals, eigvecs = _jacobi_eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:2]
     components = eigvecs[:, order].T.copy()
     for row in components:          # deterministic sign: peak entry positive

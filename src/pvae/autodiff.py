@@ -105,10 +105,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item: tensor has {self.data.size} elements")
@@ -117,41 +113,9 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def sum(self, axis: int | None = None) -> "Tensor":
-        return tsum(self, axis)
-
-    def mean(self, axis: int | None = None) -> "Tensor":
-        return tmean(self, axis)
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
-    # operator sugar; scalars are promoted to constants of matching dtype
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self, _dtype_hint=self.dtype)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -210,8 +174,8 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...],
 # elementwise binary ops
 # ---------------------------------------------------------------------------
 
-def add(a, b, *, _dtype_hint=None) -> Tensor:
-    a = _as_tensor(a, _dtype_hint or (b.dtype if isinstance(b, Tensor) else None))
+def add(a, b) -> Tensor:
+    a = _as_tensor(a, b.dtype if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a.dtype)
     _check_elementwise(a, b, "add")
 
@@ -222,8 +186,8 @@ def add(a, b, *, _dtype_hint=None) -> Tensor:
     return _result(a.data + b.data, (a, b), back, "add")
 
 
-def sub(a, b, *, _dtype_hint=None) -> Tensor:
-    a = _as_tensor(a, _dtype_hint or (b.dtype if isinstance(b, Tensor) else None))
+def sub(a, b) -> Tensor:
+    a = _as_tensor(a, b.dtype if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a.dtype)
     _check_elementwise(a, b, "sub")
 

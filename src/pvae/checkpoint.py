@@ -28,6 +28,7 @@ import zlib
 import numpy as np
 
 from . import CHECKPOINT_FORMAT_VERSION
+from .diploss import LossWeights
 from .nsvae import NsvaeModel
 from .vae import VaeModel
 
@@ -123,11 +124,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 MODEL_KINDS = {"vae": VaeModel, "nsvae": NsvaeModel}
 
 
-def build_model(cls, config: dict, tensors: dict[str, np.ndarray], path):
-    """`cls(dtype=MODEL_DTYPE, **config)` holding `tensors`, whose names must
-    match the model's exactly; only the keys in `cls.CONFIG_KEYS` are read."""
-    model = cls(dtype=MODEL_DTYPE, **{key: config[key] for key in cls.CONFIG_KEYS})
-    params = model.named_parameters()
+def load_parameters(module, tensors: dict[str, np.ndarray], path):
+    """Bind `tensors` to `module`'s parameters, whose names they must match
+    exactly, each cast to its parameter's dtype; returns `module`."""
+    params = module.named_parameters()
     missing = sorted(set(params) - set(tensors))
     extra = sorted(set(tensors) - set(params))
     if missing or extra:
@@ -139,8 +139,32 @@ def build_model(cls, config: dict, tensors: dict[str, np.ndarray], path):
         if arr.shape != p.data.shape:
             raise CheckpointError(
                 f"tensor {name}: shape {arr.shape} != model {p.data.shape}")
-        p.data = arr.astype(model.dtype)
-    return model
+        p.data = arr.astype(p.data.dtype)
+    return module
+
+
+def new_model(cls, config: dict, section: str = "model"):
+    """`cls(dtype=MODEL_DTYPE, **config)`, reading only `cls.CONFIG_KEYS`;
+    errors name `config` as `section`."""
+    if not isinstance(config, dict):
+        raise CheckpointError(f"config: no {section!r} section")
+    missing = [key for key in cls.CONFIG_KEYS if key not in config]
+    if missing:
+        raise CheckpointError(f"config: {section!r} section lacks {missing}")
+    return cls(dtype=MODEL_DTYPE, **{key: config[key] for key in cls.CONFIG_KEYS})
+
+
+def build_model(cls, config: dict, tensors: dict[str, np.ndarray], path):
+    """A new `cls` model from `config` holding `tensors`."""
+    return load_parameters(new_model(cls, config), tensors, path)
+
+
+def stored_weights(config: dict, key: str) -> LossWeights:
+    """The `LossWeights` stored under `key`, the defaults when there are none."""
+    try:
+        return LossWeights(**(config.get(key) or {}))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"config: {key!r} section: {exc}") from None
 
 
 def save_model(path, model, extra_config: dict | None = None) -> None:

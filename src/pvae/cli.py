@@ -21,14 +21,15 @@ from . import CHECKPOINT_FORMAT_VERSION, __version__
 from .analysis import (LatentCloud, log_spectral_distance, pca_fit,
                        separation_stats, si_snr, write_latent_csv,
                        write_latent_svg, write_metrics_csv)
-from .checkpoint import load_checkpoint, load_model, save_model
+from .checkpoint import build_model, load_checkpoint, save_model, stored_weights
 from .config import RunConfig, load_config
 from .datagen import mix_at_snr, synth_dataset
-from .diploss import SETTINGS, LossWeights
+from .diploss import SETTINGS
 from .dsp import FRAME_LEN, Waveform, load_wav, save_wav
 from .pipeline import (EnhanceResult, ModelBundle, enhance, enhance_details,
                        load_bundle, pretrain_vae, save_bundle, train_nsvae,
                        write_training_log)
+from .vae import VaeModel
 
 # fixed offsets deriving each stage's generator from the master seed
 SEED_SPEECH, SEED_NOISE = 101, 202
@@ -239,10 +240,14 @@ def cmd_pretrain(args) -> None:
     write_training_log(out / f"{args.role}_vae_log.csv", log)
 
 
-def _weights_from_checkpoint(path) -> LossWeights:
-    config, _ = load_checkpoint(path)
-    stored = config.get("loss_weights")
-    return LossWeights(**stored) if stored else LossWeights()
+def _pretrained(path, flag: str, role: str):
+    """(`role` VAE, its loss weights) read once from `path`; errors name `flag`."""
+    config, tensors = load_checkpoint(path)
+    kind = config.get("kind")
+    if kind != "vae" or config.get("role") != role:
+        got = f"kind {kind!r}" if kind != "vae" else f"role {config.get('role')!r}"
+        raise ValueError(f"{flag}: expected a {role} VAE checkpoint, got {got}")
+    return build_model(VaeModel, config, tensors, path), stored_weights(config, "loss_weights")
 
 
 def cmd_train_nsvae(args) -> None:
@@ -250,16 +255,13 @@ def cmd_train_nsvae(args) -> None:
     out = Path(args.out)
     write_manifest(out, "train-nsvae", cfg,
                    {"cvae": str(args.cvae), "nvae": str(args.nvae)})
-    cvae = load_model(args.cvae)
-    nvae = load_model(args.nvae)
-    if cvae.role != "speech" or nvae.role != "noise":
-        raise ValueError("--cvae must hold a speech model and --nvae a noise model")
+    cvae, cvae_weights = _pretrained(args.cvae, "--cvae", "speech")
+    nvae, nvae_weights = _pretrained(args.nvae, "--nvae", "noise")
     speech, noise = make_datasets(cfg)
     triples = make_training_triples(cfg, speech, noise)
     nsvae, log = train_nsvae(cvae, nvae, triples, cfg)
     bundle = ModelBundle(cvae=cvae, nvae=nvae, nsvae=nsvae,
-                         cvae_weights=_weights_from_checkpoint(args.cvae),
-                         nvae_weights=_weights_from_checkpoint(args.nvae))
+                         cvae_weights=cvae_weights, nvae_weights=nvae_weights)
     save_bundle(out / "bundle.ckpt", bundle)
     write_training_log(out / "nsvae_log.csv", log)
 

@@ -17,21 +17,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import CHECKPOINT_FORMAT_VERSION, autodiff as ad
-from .checkpoint import (MODEL_DTYPE, CheckpointError, build_model, load_checkpoint,
-                         save_checkpoint)
+from .checkpoint import (MODEL_DTYPE, CheckpointError, load_checkpoint, load_parameters,
+                         new_model, save_checkpoint, stored_weights)
 from .config import RunConfig
 from .datagen import MixTriple
 from .diploss import LossWeights, dip_total_loss
 from .dsp import Spectrogram, Waveform, apply_mask, istft, lps, lps_to_magnitude, stft
-from .nn import Adam, clip_grad_norm
+from .nn import Adam, Module, clip_grad_norm
 from .nsvae import NsvaeModel, permutation_loss
 from .vae import VaeModel, reparameterize
 
 
 @dataclass
-class ModelBundle:
-    """The three trained models plus the loss weights each VAE was trained
-    with; latent dimensions must agree so posteriors can be matched."""
+class ModelBundle(Module):
+    """The three trained models, whose parameters it names `cvae.*`, `nvae.*`
+    and `nsvae.*`, and each VAE's loss weights; latent dimensions must agree."""
 
     cvae: VaeModel
     nvae: VaeModel
@@ -45,6 +45,9 @@ class ModelBundle:
             raise ValueError(f"latent dims disagree: {sorted(dims)}")
         if self.cvae.role != "speech" or self.nvae.role != "noise":
             raise ValueError("bundle wants a speech cvae and a noise nvae")
+
+    def layers(self) -> list[tuple[str, Module]]:
+        return [("cvae", self.cvae), ("nvae", self.nvae), ("nsvae", self.nsvae)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +269,11 @@ def save_bundle(path, bundle: ModelBundle) -> None:
     config = {
         "kind": "bundle",
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "cvae": bundle.cvae.config(),
-        "nvae": bundle.nvae.config(),
-        "nsvae": bundle.nsvae.config(),
         "cvae_weights": vars(bundle.cvae_weights),
         "nvae_weights": vars(bundle.nvae_weights),
+        **{name: model.config() for name, model in bundle.layers()},
     }
-    tensors = {f"{prefix}.{name}": p.data
-               for prefix, model in (("cvae", bundle.cvae), ("nvae", bundle.nvae),
-                                     ("nsvae", bundle.nsvae))
-               for name, p in model.named_parameters().items()}
-    save_checkpoint(path, config, tensors)
+    save_checkpoint(path, config, {name: p.data for name, p in bundle.named_parameters().items()})
 
 
 def load_bundle(path) -> ModelBundle:
@@ -284,11 +281,8 @@ def load_bundle(path) -> ModelBundle:
     if config.get("kind") != "bundle":
         raise CheckpointError(
             f"config: expected a bundle, got kind {config.get('kind')!r}")
-    models = {}
-    for prefix, cls in (("cvae", VaeModel), ("nvae", VaeModel), ("nsvae", NsvaeModel)):
-        sub = {name[len(prefix) + 1:]: arr for name, arr in tensors.items()
-               if name.startswith(prefix + ".")}
-        models[prefix] = build_model(cls, config[prefix], sub, path)
-    return ModelBundle(**models,
-                       cvae_weights=LossWeights(**config["cvae_weights"]),
-                       nvae_weights=LossWeights(**config["nvae_weights"]))
+    bundle = ModelBundle(**{name: new_model(cls, config.get(name), name) for name, cls in
+                            (("cvae", VaeModel), ("nvae", VaeModel), ("nsvae", NsvaeModel))},
+                         cvae_weights=stored_weights(config, "cvae_weights"),
+                         nvae_weights=stored_weights(config, "nvae_weights"))
+    return load_parameters(bundle, tensors, path)

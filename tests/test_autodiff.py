@@ -153,14 +153,6 @@ class TestForwardExamples:
         assert got.shape == (2, 4)
         np.testing.assert_allclose(got.data, expect, rtol=1e-12)
 
-    def test_operator_sugar(self):
-        x = t([1.0, 2.0])
-        y = (2.0 * x + 1.0) - x
-        np.testing.assert_allclose(y.data, [2.0, 3.0])
-        z = 1.0 - x
-        np.testing.assert_allclose(z.data, [0.0, -1.0])
-        np.testing.assert_allclose((-x).data, [-1.0, -2.0])
-
 
 class TestSigmoidForm:
     def test_bitwise_equal_to_boolean_index_form(self):

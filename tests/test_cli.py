@@ -11,8 +11,12 @@ import wave
 import numpy as np
 import pytest
 
+import pvae.checkpoint
+import pvae.cli
+from pvae.checkpoint import save_model
 from pvae.cli import MIN_EVAL_SAMPLES, evaluate_bundle, main
 from pvae.datagen import mix_at_snr
+from pvae.diploss import SETTINGS
 from pvae.dsp import SAMPLE_RATE, Waveform, load_wav
 from pvae.nsvae import NsvaeModel
 from pvae.pipeline import ModelBundle, enhance_details, load_bundle
@@ -166,6 +170,53 @@ class TestTrainingChain:
         ckpt = str(pre / "noise_vae.ckpt")
         assert run("train-nsvae", "--config", cfg_file, "--cvae", ckpt,
                    "--nvae", ckpt, "--out", str(tmp_path / "ns")) == 2
+
+
+class TestTrainNsvaeInputs:
+    """Each pretrained checkpoint is read once and must hold a VAE of the
+    flag's role; an error names the flag."""
+
+    @pytest.fixture()
+    def ckpts(self, tmp_path):
+        rng = np.random.default_rng(1)
+        paths = {}
+        for name, model, weights in (
+                ("speech", VaeModel(257, 8, 4, "speech", rng=rng, dtype=np.float32), SETTINGS[2]),
+                ("noise", VaeModel(257, 8, 4, "noise", rng=rng, dtype=np.float32), SETTINGS[4]),
+                ("nsvae", NsvaeModel(257, 8, 4, rng=rng, dtype=np.float32), None)):
+            paths[name] = str(tmp_path / f"{name}.ckpt")
+            save_model(paths[name], model, weights and {"loss_weights": vars(weights)})
+        return paths
+
+    @pytest.mark.parametrize("cvae, nvae, message", [
+        ("nsvae", "noise", "--cvae: expected a speech VAE checkpoint, got kind 'nsvae'"),
+        ("noise", "noise", "--cvae: expected a speech VAE checkpoint, got role 'noise'"),
+        ("speech", "nsvae", "--nvae: expected a noise VAE checkpoint, got kind 'nsvae'"),
+        ("speech", "speech", "--nvae: expected a noise VAE checkpoint, got role 'speech'"),
+    ], ids=["cvae-nsvae", "cvae-noise", "nvae-nsvae", "nvae-speech"])
+    def test_wrong_checkpoint_names_flag(self, ckpts, cfg_file, tmp_path, capsys,
+                                         cvae, nvae, message):
+        assert run("train-nsvae", "--config", cfg_file, "--cvae", ckpts[cvae],
+                   "--nvae", ckpts[nvae], "--out", str(tmp_path / "ns")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_each_file_read_once_with_its_weights(self, ckpts, cfg_file, tmp_path,
+                                                  monkeypatch):
+        reads = []
+        load = pvae.checkpoint.load_checkpoint
+
+        def counting(path):
+            reads.append(str(path))
+            return load(path)
+
+        for module in (pvae.checkpoint, pvae.cli):
+            monkeypatch.setattr(module, "load_checkpoint", counting)
+        out = tmp_path / "ns"
+        assert run("train-nsvae", "--config", cfg_file, "--cvae", ckpts["speech"],
+                   "--nvae", ckpts["noise"], "--out", str(out)) == 0
+        assert reads == [ckpts["speech"], ckpts["noise"]]
+        bundle = load_bundle(out / "bundle.ckpt")
+        assert (bundle.cvae_weights, bundle.nvae_weights) == (SETTINGS[2], SETTINGS[4])
 
 
 class TestAblation:

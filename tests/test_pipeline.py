@@ -10,6 +10,7 @@ import pytest
 
 import pvae.autodiff as ad
 from pvae.autodiff import Tensor
+from pvae.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pvae.config import RunConfig
 from pvae.datagen import mix_at_snr, synth_dataset
 from pvae.diploss import LossWeights
@@ -301,6 +302,53 @@ class TestBundleIo:
                         dtype=np.float32)
         with pytest.raises(ValueError, match="speech"):
             ModelBundle(cvae=mk("noise"), nvae=mk("noise"), nsvae=ns)
+
+
+class TestBundleErrors:
+    """A malformed bundle raises `CheckpointError` naming the config section
+    or the full tensor name."""
+
+    def edited(self, tmp_path, edit):
+        path = tmp_path / "b.ckpt"
+        save_bundle(path, tiny_bundle(5))
+        config, tensors = load_checkpoint(path)
+        edit(config, tensors)
+        save_checkpoint(path, config, tensors)
+        return path
+
+    def test_parameter_names_are_prefixed_by_model(self):
+        bundle = tiny_bundle()
+        assert list(bundle.named_parameters()) == [
+            f"{prefix}.{name}" for prefix, model in
+            (("cvae", bundle.cvae), ("nvae", bundle.nvae), ("nsvae", bundle.nsvae))
+            for name in model.named_parameters()]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda config: config.pop("nsvae"), r"^config: no 'nsvae' section$"),
+        (lambda config: config["cvae"].pop("role"), r"^config: 'cvae' section lacks \['role'\]$"),
+    ], ids=["no-section", "no-key"])
+    def test_model_section_named(self, tmp_path, edit, message):
+        path = self.edited(tmp_path, lambda config, _: edit(config))
+        with pytest.raises(CheckpointError, match=message):
+            load_bundle(path)
+
+    def test_unknown_loss_weight_named(self, tmp_path):
+        path = self.edited(tmp_path, lambda config, _: config["cvae_weights"].update(gamma=1.0))
+        with pytest.raises(CheckpointError, match="^config: 'cvae_weights' section: .*gamma"):
+            load_bundle(path)
+
+    def test_wrong_shape_names_full_tensor(self, tmp_path):
+        def edit(_, tensors):
+            tensors["nvae.enc.fc0.weight"] = tensors["nvae.enc.fc0.weight"][:-1]
+
+        with pytest.raises(CheckpointError,
+                           match=r"^tensor nvae\.enc\.fc0\.weight: shape \(256, 8\)"):
+            load_bundle(self.edited(tmp_path, edit))
+
+    def test_missing_tensor_names_full_tensor(self, tmp_path):
+        path = self.edited(tmp_path, lambda _, tensors: tensors.pop("cvae.enc.mu.bias"))
+        with pytest.raises(CheckpointError, match=r"missing \['cvae\.enc\.mu\.bias'\]"):
+            load_bundle(path)
 
 
 class TestTrainingLog:
