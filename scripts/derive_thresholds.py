@@ -3,8 +3,8 @@
 
 Runs the full four-setting grid under three master seeds and prints, per
 setting and seed: mean SI-SNR improvement and latent separation ratio. The
-fixed-seed (seed 0) values, minus a 10% margin, are what the acceptance
-test asserts.
+fixed-seed (seed 1, `PIN_SEED`) values, minus a 10% margin, are what the
+acceptance test asserts.
 
 Usage: python3 scripts/derive_thresholds.py [OUT_ROOT]
 """

@@ -16,6 +16,13 @@ Layout (all integers little-endian):
 Tensors are stored as float32 regardless of the in-memory training dtype, so
 a save/load round trip is bit-exact exactly when the model runs in float32.
 Models are therefore loaded, and trained, in `MODEL_DTYPE`.
+
+A save streams each part to the file and folds it into the checksum as it
+goes. A load reads the file once, hands out read-only views of its bytes,
+and binds them into a model built without drawing weights (all zeros),
+copying each tensor once. A config that is not a JSON object or does not
+describe a model, a tensor name that is not UTF-8, and a stored weight that
+is not finite raise `CheckpointError` naming the section or tensor.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 from . import CHECKPOINT_FORMAT_VERSION
 from .diploss import LossWeights
 from .nsvae import NsvaeModel
-from .vae import VaeModel
+from .vae import FrameModel, VaeModel
 
 MAGIC = b"PVAE"
 MODEL_DTYPE = np.float32
@@ -41,37 +48,36 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
-    parts = [MAGIC, struct.pack("<I", CHECKPOINT_FORMAT_VERSION)]
     cfg = json.dumps(config, sort_keys=True).encode("utf-8")
-    parts.append(struct.pack("<I", len(cfg)))
-    parts.append(cfg)
-    parts.append(struct.pack("<I", len(tensors)))
-    for name in sorted(tensors):
-        # asarray keeps rank-0 arrays rank 0 (ascontiguousarray would not)
-        arr = np.asarray(tensors[name], dtype=np.float32)
-        if not arr.flags.c_contiguous:
-            arr = arr.copy()
-        nb = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
-    blob = b"".join(parts)
-    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
     with open(path, "wb") as fh:
-        fh.write(blob)
+        crc = 0
+
+        def write(part) -> None:
+            nonlocal crc
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+
+        write(MAGIC + struct.pack("<II", CHECKPOINT_FORMAT_VERSION, len(cfg)))
+        write(cfg)
+        write(struct.pack("<I", len(tensors)))
+        for name in sorted(tensors):
+            # asarray keeps rank-0 arrays rank 0 (ascontiguousarray would not)
+            arr = np.asarray(tensors[name], dtype=np.float32)
+            nb = name.encode("utf-8")
+            write(struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
+            write(arr.tobytes())
+        fh.write(struct.pack("<I", crc))
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    def __init__(self, view: memoryview):
+        self.view = view
         self.pos = 0
 
-    def take(self, n: int, section: str) -> bytes:
-        if self.pos + n > len(self.blob):
+    def take(self, n: int, section: str) -> memoryview:
+        if self.pos + n > len(self.view):
             raise CheckpointError(f"{section}: truncated at byte {self.pos}")
-        out = self.blob[self.pos:self.pos + n]
+        out = self.view[self.pos:self.pos + n]
         self.pos += n
         return out
 
@@ -80,17 +86,19 @@ class _Reader:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(config, {name: tensor}); each tensor is a read-only float32 view of
+    the file's bytes."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4:
+        view = memoryview(fh.read())
+    if len(view) < 4:
         raise CheckpointError("checksum: file too short to carry one")
-    stored = struct.unpack("<I", blob[-4:])[0]
-    actual = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+    stored = struct.unpack("<I", view[-4:])[0]
+    actual = zlib.crc32(view[:-4])
     if stored != actual:
         raise CheckpointError(
             f"checksum: stored {stored:#010x} != computed {actual:#010x}")
 
-    r = _Reader(blob[:-4])
+    r = _Reader(view[:-4])
     if r.take(4, "magic") != MAGIC:
         raise CheckpointError("magic: not a PVAE checkpoint")
     version = r.u32("version")
@@ -99,25 +107,32 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             f"version: {version} unsupported (expected {CHECKPOINT_FORMAT_VERSION})")
     cfg_len = r.u32("config")
     try:
-        config = json.loads(r.take(cfg_len, "config").decode("utf-8"))
+        config = json.loads(str(r.take(cfg_len, "config"), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"config: invalid JSON ({exc})") from exc
+    if not isinstance(config, dict):
+        raise CheckpointError(f"config: expected a JSON object, got {type(config).__name__}")
 
     tensors: dict[str, np.ndarray] = {}
     n_tensors = r.u32("tensor table")
     for i in range(n_tensors):
         sec = f"tensor {i}"
         name_len = struct.unpack("<H", r.take(2, sec))[0]
-        name = r.take(name_len, sec).decode("utf-8")
+        try:
+            name = str(r.take(name_len, sec), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{sec}: name is not UTF-8 ({exc})") from None
         rank = struct.unpack("<B", r.take(1, sec))[0]
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank, sec))
-        count = math.prod(shape)
-        data = np.frombuffer(r.take(4 * count, f"{sec} ({name}) data"),
-                             dtype="<f4").reshape(shape)
-        tensors[name] = data.astype(np.float32)
-    if r.pos != len(r.blob):
+        data = np.frombuffer(r.take(4 * math.prod(shape), f"{sec} ({name}) data"),
+                             dtype="<f4")
+        try:
+            tensors[name] = data.reshape(shape)
+        except ValueError as exc:       # over 64 dimensions, or 0 by a huge size
+            raise CheckpointError(f"{sec}: rank-{rank} shape of {name!r} ({exc})") from None
+    if r.pos != len(r.view):
         raise CheckpointError(
-            f"trailing data: {len(r.blob) - r.pos} unexpected bytes")
+            f"trailing data: {len(r.view) - r.pos} unexpected bytes")
     return config, tensors
 
 
@@ -126,7 +141,7 @@ MODEL_KINDS = {"vae": VaeModel, "nsvae": NsvaeModel}
 
 def load_parameters(module, tensors: dict[str, np.ndarray], path):
     """Bind `tensors` to `module`'s parameters, whose names they must match
-    exactly, each cast to its parameter's dtype; returns `module`."""
+    exactly, each copied once into its parameter's dtype; returns `module`."""
     params = module.named_parameters()
     missing = sorted(set(params) - set(tensors))
     extra = sorted(set(tensors) - set(params))
@@ -139,24 +154,28 @@ def load_parameters(module, tensors: dict[str, np.ndarray], path):
         if arr.shape != p.data.shape:
             raise CheckpointError(
                 f"tensor {name}: shape {arr.shape} != model {p.data.shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name}: non-finite values")
         p.data = arr.astype(p.data.dtype)
     return module
 
 
 def new_model(cls, config: dict, section: str = "model"):
-    """`cls(dtype=MODEL_DTYPE, **config)`, reading only `cls.CONFIG_KEYS`;
-    errors name `config` as `section`."""
+    """An undrawn (all-zero) `cls(dtype=MODEL_DTYPE, **config)`, reading only
+    `cls.CONFIG_KEYS`; errors name `config` as `section`."""
     if not isinstance(config, dict):
         raise CheckpointError(f"config: no {section!r} section")
     missing = [key for key in cls.CONFIG_KEYS if key not in config]
     if missing:
         raise CheckpointError(f"config: {section!r} section lacks {missing}")
-    return cls(dtype=MODEL_DTYPE, **{key: config[key] for key in cls.CONFIG_KEYS})
-
-
-def build_model(cls, config: dict, tensors: dict[str, np.ndarray], path):
-    """A new `cls` model from `config` holding `tensors`."""
-    return load_parameters(new_model(cls, config), tensors, path)
+    for key in FrameModel.CONFIG_KEYS:
+        if type(config[key]) is not int or config[key] < 1:
+            raise CheckpointError(f"config: {section!r} section: {key} must be a "
+                                  f"positive integer, got {config[key]!r}")
+    try:
+        return cls(dtype=MODEL_DTYPE, **{key: config[key] for key in cls.CONFIG_KEYS})
+    except ValueError as exc:
+        raise CheckpointError(f"config: {section!r} section: {exc}") from None
 
 
 def stored_weights(config: dict, key: str) -> LossWeights:
@@ -179,4 +198,4 @@ def load_model(path):
     cls = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise CheckpointError(f"config: unknown model kind {kind!r}")
-    return build_model(cls, config, tensors, path)
+    return load_parameters(new_model(cls, config), tensors, path)

@@ -21,7 +21,7 @@ from . import CHECKPOINT_FORMAT_VERSION, __version__
 from .analysis import (LatentCloud, log_spectral_distance, pca_fit,
                        separation_stats, si_snr, write_latent_csv,
                        write_latent_svg, write_metrics_csv)
-from .checkpoint import build_model, load_checkpoint, save_model, stored_weights
+from .checkpoint import load_checkpoint, load_parameters, new_model, save_model, stored_weights
 from .config import RunConfig, load_config
 from .datagen import mix_at_snr, synth_dataset
 from .diploss import SETTINGS
@@ -247,7 +247,8 @@ def _pretrained(path, flag: str, role: str):
     if kind != "vae" or config.get("role") != role:
         got = f"kind {kind!r}" if kind != "vae" else f"role {config.get('role')!r}"
         raise ValueError(f"{flag}: expected a {role} VAE checkpoint, got {got}")
-    return build_model(VaeModel, config, tensors, path), stored_weights(config, "loss_weights")
+    return (load_parameters(new_model(VaeModel, config), tensors, path),
+            stored_weights(config, "loss_weights"))
 
 
 def cmd_train_nsvae(args) -> None:

@@ -24,11 +24,16 @@ from . import autodiff as ad
 from .autodiff import NumericError, Tensor
 
 
-def init_parameters(fan_in: int, fan_out: int, rng: np.random.Generator,
+def init_parameters(fan_in: int, fan_out: int, rng: np.random.Generator | None,
                     dtype=np.float64) -> np.ndarray:
-    """Glorot-uniform draw of shape (fan_in, fan_out): U(+/- sqrt(6/(in+out)))."""
+    """Glorot-uniform draw of shape (fan_in, fan_out): U(+/- sqrt(6/(in+out))).
+
+    With `rng` None nothing is drawn and the result is zeros.
+    """
     if fan_in < 1 or fan_out < 1:
         raise ValueError(f"init_parameters: dims must be positive, got {fan_in}, {fan_out}")
+    if rng is None:
+        return np.zeros((fan_in, fan_out), dtype=dtype)
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
 
@@ -39,6 +44,10 @@ class Module:
     layer overrides `named_parameters` with its own tensors. That order fixes
     checkpoint names, Adam state order and the summation order of
     `clip_grad_norm`.
+
+    Layers draw their weights from the `rng` they are built with; built with
+    `rng=None` they draw nothing and hold zeros, a skeleton for
+    `checkpoint.load_parameters` to fill.
     """
 
     def layers(self) -> list[tuple[str, Module]]:
@@ -68,7 +77,6 @@ class LinearLayer(Module):
                  rng: np.random.Generator | None = None, dtype=np.float64):
         if activation not in ("relu", "none"):
             raise ValueError(f"activation must be 'relu' or 'none', got {activation!r}")
-        rng = rng or np.random.default_rng(0)
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
@@ -104,7 +112,6 @@ class GruLayer(Module):
 
     def __init__(self, in_dim: int, hidden_dim: int,
                  rng: np.random.Generator | None = None, dtype=np.float64):
-        rng = rng or np.random.default_rng(0)
         self.in_dim = in_dim
         self.hidden_dim = hidden_dim
 
@@ -118,14 +125,12 @@ class GruLayer(Module):
         self.U_r, self.U_z, self.U_h = (w(hidden_dim, hidden_dim) for _ in range(3))
         self.b_r, self.b_z, self.b_h = b(), b(), b()
 
-    def initial_state(self, batch: int, dtype=None) -> Tensor:
-        dtype = dtype or self.W_r.data.dtype
-        return Tensor(np.zeros((batch, self.hidden_dim), dtype=dtype))
+    def initial_state(self, batch: int) -> Tensor:
+        return Tensor(np.zeros((batch, self.hidden_dim), dtype=self.W_r.data.dtype))
 
     def __call__(self, x: Tensor, n_batch: int) -> Tensor:
         """Hidden states, (T*B, hidden), from the zero state."""
-        h0 = self.initial_state(n_batch, dtype=x.data.dtype)
-        return ad.gru_seq(x, h0, self.parameters())
+        return ad.gru_seq(x, self.initial_state(n_batch), self.parameters())
 
     def step(self, x_t: Tensor, h_prev: Tensor) -> Tensor:
         return ad.gru_seq(x_t, h_prev, self.parameters())
@@ -138,7 +143,7 @@ class GruLayer(Module):
 class EncoderTrunk(Module):
     """3 FC-ReLU layers into a GRU: the front of every encoder."""
 
-    def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator,
+    def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator | None,
                  dtype=np.float64):
         self.fc = [LinearLayer(n_in, hidden_dim, activation="relu", rng=rng, dtype=dtype)
                    for n_in in (in_dim, hidden_dim, hidden_dim)]

@@ -29,7 +29,6 @@ class NsvaeModel(FrameModel):
     def __init__(self, input_dim: int = 257, hidden_dim: int = 512,
                  latent_dim: int = 128, rng: np.random.Generator | None = None,
                  dtype=np.float64):
-        rng = rng or np.random.default_rng(0)
         super().__init__(input_dim, hidden_dim, latent_dim, rng, dtype)
         fc = partial(nn.LinearLayer, rng=rng, dtype=dtype)
         h = hidden_dim

@@ -40,9 +40,9 @@ class ModelBundle(Module):
     nvae_weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
-        dims = {self.cvae.latent_dim, self.nvae.latent_dim, self.nsvae.latent_dim}
-        if len(dims) != 1:
-            raise ValueError(f"latent dims disagree: {sorted(dims)}")
+        dims = {name: model.latent_dim for name, model in self.layers()}
+        if len(set(dims.values())) != 1:
+            raise ValueError(f"latent dims disagree: {dims}")
         if self.cvae.role != "speech" or self.nvae.role != "noise":
             raise ValueError("bundle wants a speech cvae and a noise nvae")
 
@@ -281,8 +281,11 @@ def load_bundle(path) -> ModelBundle:
     if config.get("kind") != "bundle":
         raise CheckpointError(
             f"config: expected a bundle, got kind {config.get('kind')!r}")
-    bundle = ModelBundle(**{name: new_model(cls, config.get(name), name) for name, cls in
-                            (("cvae", VaeModel), ("nvae", VaeModel), ("nsvae", NsvaeModel))},
-                         cvae_weights=stored_weights(config, "cvae_weights"),
-                         nvae_weights=stored_weights(config, "nvae_weights"))
+    models = {name: new_model(cls, config.get(name), name) for name, cls in
+              (("cvae", VaeModel), ("nvae", VaeModel), ("nsvae", NsvaeModel))}
+    weights = {key: stored_weights(config, key) for key in ("cvae_weights", "nvae_weights")}
+    try:
+        bundle = ModelBundle(**models, **weights)
+    except ValueError as exc:
+        raise CheckpointError(f"config: {exc}") from None
     return load_parameters(bundle, tensors, path)

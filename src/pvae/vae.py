@@ -82,7 +82,7 @@ class FrameModel(nn.Module):
     CONFIG_KEYS = ("input_dim", "hidden_dim", "latent_dim")
 
     def __init__(self, input_dim: int, hidden_dim: int, latent_dim: int,
-                 rng: np.random.Generator, dtype):
+                 rng: np.random.Generator | None, dtype):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.latent_dim = latent_dim
@@ -111,7 +111,6 @@ class VaeModel(FrameModel):
                  rng: np.random.Generator | None = None, dtype=np.float64):
         if role not in ("speech", "noise"):
             raise ValueError(f"role must be 'speech' or 'noise', got {role!r}")
-        rng = rng or np.random.default_rng(0)
         super().__init__(input_dim, hidden_dim, latent_dim, rng, dtype)
         self.role = role
         fc = partial(nn.LinearLayer, rng=rng, dtype=dtype)

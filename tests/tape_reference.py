@@ -35,7 +35,7 @@ def head(h, mu_layer, logvar_layer):
 def run_frames(stack, n_batch, gru, step):
     """`step(x_t, state) -> (state, outputs)` over the frames of a stack,
     outputs stacked back to (T*B, .)."""
-    state = gru.initial_state(n_batch, dtype=stack.data.dtype)
+    state = gru.initial_state(n_batch)
     outputs = []
     for t in range(stack.data.shape[0] // n_batch):
         state, out = step(ad.slice_rows(stack, t * n_batch, (t + 1) * n_batch), state)

@@ -8,15 +8,20 @@ object.
 
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import pvae.cli
 from pvae import CHECKPOINT_FORMAT_VERSION
 from pvae.checkpoint import (CheckpointError, load_checkpoint, load_model,
                              save_checkpoint, save_model)
 from pvae.nsvae import NsvaeModel
+from pvae.pipeline import ModelBundle, load_bundle, save_bundle
 from pvae.vae import VaeModel
 
 
@@ -31,6 +36,22 @@ def hand_blob(config, tensors):
                   struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
     blob = b"".join(parts)
     return blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+
+
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def tiny_bundle():
+    """A bundle whose every dimension, the NSVAE's 2H included, is one digit."""
+    kw = dict(input_dim=7, hidden_dim=4, latent_dim=3, rng=np.random.default_rng(7),
+              dtype=np.float32)
+    return ModelBundle(cvae=VaeModel(role="speech", **kw), nvae=VaeModel(role="noise", **kw),
+                       nsvae=NsvaeModel(**kw))
+
+
+def saved_parameters(module):
+    return {name: p.data.tobytes() for name, p in module.named_parameters().items()}
 
 
 class TestContainer:
@@ -120,6 +141,16 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="tensor 0"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("shape", [(0, 2 ** 32 - 1, 2 ** 32 - 1), (0,) * 65],
+                             ids=["zero-by-huge", "rank-65"])
+    def test_unrepresentable_empty_shape_named(self, tmp_path, shape):
+        body = hand_blob({}, {})[:-8] + struct.pack("<I", 1)
+        body += struct.pack("<H", 1) + b"w" + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+        path = tmp_path / "e.ckpt"
+        path.write_bytes(with_crc(body))
+        with pytest.raises(CheckpointError, match="^tensor 0: rank-"):
+            load_checkpoint(path)
+
     def test_trailing_garbage_named(self, tmp_path):
         body = hand_blob({}, {})[:-4] + b"\x00\x00\x00\x00"
         blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
@@ -181,3 +212,137 @@ class TestModelIo:
         save_checkpoint(path, dict(m.config(), kind="vae"), tensors)
         with pytest.raises(CheckpointError, match="enc.mu.bias"):
             load_model(path)
+
+
+class TestMalformedInput:
+    """A malformed file raises `CheckpointError` whose message starts with the
+    config section or the tensor it failed on."""
+
+    def vae_file(self, tmp_path, **changes):
+        m = VaeModel(input_dim=9, hidden_dim=8, latent_dim=4, role="speech",
+                     rng=np.random.default_rng(2), dtype=np.float32)
+        path = tmp_path / "vae.ckpt"
+        tensors = {n: p.data for n, p in m.named_parameters().items()}
+        save_checkpoint(path, dict(m.config(), kind="vae", **changes), tensors)
+        return path
+
+    @pytest.mark.parametrize("load", [load_model, load_bundle], ids=["model", "bundle"])
+    def test_config_not_an_object(self, tmp_path, load):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, [1, 2], {})
+        with pytest.raises(CheckpointError, match="^config: expected a JSON object, got list"):
+            load(path)
+
+    def test_config_not_an_object_for_train_nsvae(self, tmp_path, capsys):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, [1, 2], {})
+        assert pvae.cli.main(["train-nsvae", "--cvae", str(path), "--nvae", str(path),
+                              "--out", str(tmp_path / "ns")]) == 2
+        assert capsys.readouterr().err == "error: config: expected a JSON object, got list\n"
+
+    def test_tensor_name_not_utf8(self, tmp_path):
+        body = hand_blob({}, {})[:-8] + struct.pack("<I", 1)
+        body += struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<BI", 1, 1)
+        body += np.float32(1).tobytes()
+        path = tmp_path / "n.ckpt"
+        path.write_bytes(with_crc(body))
+        with pytest.raises(CheckpointError, match="^tensor 0: name is not UTF-8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["8", 0, -3, 8.0, None], ids=repr)
+    def test_dimension_not_a_positive_integer(self, tmp_path, value):
+        path = self.vae_file(tmp_path, hidden_dim=value)
+        with pytest.raises(CheckpointError, match="^config: 'model' section: hidden_dim "
+                                                  "must be a positive integer"):
+            load_model(path)
+
+    def test_unknown_role(self, tmp_path):
+        path = self.vae_file(tmp_path, role="music")
+        with pytest.raises(CheckpointError, match="^config: 'model' section: role must be"):
+            load_model(path)
+
+    def test_bundle_latent_dims_disagree(self, tmp_path):
+        path = tmp_path / "b.ckpt"
+        bundle = tiny_bundle()
+        save_bundle(path, bundle)
+        config, tensors = load_checkpoint(path)
+        config["nvae"]["latent_dim"] = 5
+        save_checkpoint(path, config, tensors)
+        with pytest.raises(CheckpointError,
+                           match="^config: latent dims disagree: .*'nvae': 5"):
+            load_bundle(path)
+
+    def test_non_finite_weight_named(self, tmp_path):
+        bundle = tiny_bundle()
+        bundle.nvae.trunk.fc[0].weight.data[1, 2] = np.nan
+        path = tmp_path / "b.ckpt"
+        save_bundle(path, bundle)
+        with pytest.raises(CheckpointError,
+                           match=r"^tensor nvae\.enc\.fc0\.weight: non-finite values$"):
+            load_bundle(path)
+
+
+class TestOneCopy:
+    def test_loads_draw_nothing(self, tmp_path, monkeypatch):
+        bundle = tiny_bundle()
+        save_bundle(tmp_path / "b.ckpt", bundle)
+        save_model(tmp_path / "m.ckpt", bundle.nsvae)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        assert saved_parameters(load_bundle(tmp_path / "b.ckpt")) == saved_parameters(bundle)
+        assert saved_parameters(load_model(tmp_path / "m.ckpt")) == saved_parameters(bundle.nsvae)
+
+    def test_each_byte_copied_once(self, tmp_path):
+        kw = dict(input_dim=257, hidden_dim=64, latent_dim=16,
+                  rng=np.random.default_rng(4), dtype=np.float32)
+        bundle = ModelBundle(cvae=VaeModel(role="speech", **kw),
+                             nvae=VaeModel(role="noise", **kw), nsvae=NsvaeModel(**kw))
+        path = tmp_path / "b.ckpt"
+        peaks = {}
+        for name, call in (("save", lambda: save_bundle(path, bundle)),
+                           ("load", lambda: load_bundle(path))):
+            tracemalloc.start()
+            try:
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = path.stat().st_size
+        assert peaks["save"] <= 1.0 * size
+        assert peaks["load"] <= 2.5 * size
+
+
+class TestFuzz:
+    """One byte replaced anywhere, checksum recomputed: a load either
+    succeeds or raises `CheckpointError`. With every dimension a single
+    digit no edit can ask for a large model (a config edit yields at most
+    two digits; a shape edit too large for the file is a truncation)."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        bundle = tiny_bundle()
+        save_model(root / "m.ckpt", bundle.cvae)
+        save_bundle(root / "b.ckpt", bundle)
+        return {load_model: (root / "m.ckpt").read_bytes(),
+                load_bundle: (root / "b.ckpt").read_bytes()}
+
+    @pytest.mark.parametrize("load", [load_model, load_bundle], ids=["model", "bundle"])
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_byte_edit_loads_or_raises_checkpoint_error(self, files, tmp_path, load, data):
+        blob = files[load]
+        pos = data.draw(st.integers(0, len(blob) - 5), label="position")
+        value = data.draw(st.integers(0, 255).filter(lambda v: v != blob[pos]), label="value")
+        edited = bytearray(blob[:-4])
+        edited[pos] = value
+        path = tmp_path / "fuzz.ckpt"
+        path.write_bytes(with_crc(bytes(edited)))
+        try:
+            load(path)
+        except CheckpointError:
+            pass

@@ -289,7 +289,7 @@ class TestGradientBuffers:
         def call(x):
             frames = [ad.slice_rows(x, t * n_batch, (t + 1) * n_batch) for t in range(self.T)]
             if isinstance(layer, nn.GruLayer):
-                outs, h = [], layer.initial_state(n_batch, dtype=x.dtype)
+                outs, h = [], layer.initial_state(n_batch)
                 for x_t in frames:
                     h = tape_reference.gru_step(layer, x_t, h)
                     outs.append(h)
