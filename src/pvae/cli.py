@@ -24,7 +24,7 @@ from .analysis import (LatentCloud, log_spectral_distance, pca_fit,
 from .checkpoint import load_checkpoint, load_parameters, new_model, save_model, stored_weights
 from .config import RunConfig, load_config
 from .datagen import mix_at_snr, synth_dataset
-from .diploss import SETTINGS
+from .diploss import SETTINGS, LossWeights
 from .dsp import FRAME_LEN, Waveform, load_wav, save_wav
 from .pipeline import (EnhanceResult, ModelBundle, enhance, enhance_details,
                        load_bundle, pretrain_vae, save_bundle, train_nsvae,
@@ -68,7 +68,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bundle", required=True, help="bundle checkpoint")
     p.add_argument("--in", dest="in_path", required=True, help="noisy WAV")
     p.add_argument("--out", required=True, help="output WAV path")
-    p.add_argument("--sample-latent", action="store_true",
+    p.add_argument("--sample-latent", dest="sample", action="store_true",
                    help="draw latents instead of using posterior means")
     p = add("evaluate", "SI-SNR/LSD metrics for a bundle on a fresh eval set")
     p.add_argument("--bundle", required=True)
@@ -216,8 +216,35 @@ def export_latents(out_dir: Path, results: list[EnhanceResult]) -> dict:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_synth_data(args) -> None:
-    cfg = _load_run_config(args)
+def _pretrain(out: Path, role: str, clips: list[Waveform], cfg: RunConfig,
+              weights: LossWeights) -> VaeModel:
+    """Train one `role` VAE on `clips`; writes `<role>_vae_log.csv` under `out`."""
+    model, log = pretrain_vae(role, clips, cfg, weights)
+    write_training_log(out / f"{role}_vae_log.csv", log)
+    return model
+
+
+def _train_bundle(out: Path, cfg: RunConfig, speech, noise, cvae: VaeModel, nvae: VaeModel,
+                  cvae_weights: LossWeights, nvae_weights: LossWeights) -> ModelBundle:
+    """Train the noisy VAE against `cvae` and `nvae`; writes `nsvae_log.csv`, `bundle.ckpt`."""
+    nsvae, log = train_nsvae(cvae, nvae, make_training_triples(cfg, speech, noise), cfg)
+    write_training_log(out / "nsvae_log.csv", log)
+    bundle = ModelBundle(cvae=cvae, nvae=nvae, nsvae=nsvae,
+                         cvae_weights=cvae_weights, nvae_weights=nvae_weights)
+    save_bundle(out / "bundle.ckpt", bundle)
+    return bundle
+
+
+def _evaluate(out: Path, cfg: RunConfig, bundle: ModelBundle) -> tuple[dict, list[EnhanceResult]]:
+    """Enhance the eval clips once, write `metrics.csv`; (summary, results)."""
+    triples = make_eval_triples(cfg)
+    results = [enhance_details(bundle, t.mixture) for t in triples]
+    rows = evaluate_bundle(triples, results)
+    write_metrics_csv(out / "metrics.csv", rows)
+    return summarize_metrics(rows), results
+
+
+def cmd_synth_data(args, cfg: RunConfig) -> None:
     out = Path(args.out)
     write_manifest(out, "synth-data", cfg)
     speech, noise = make_datasets(cfg)
@@ -228,16 +255,13 @@ def cmd_synth_data(args) -> None:
             save_wav(sub / f"{kind}_{i:03d}.wav", clip)
 
 
-def cmd_pretrain(args) -> None:
-    cfg = _load_run_config(args)
+def cmd_pretrain(args, cfg: RunConfig) -> None:
     out = Path(args.out)
     write_manifest(out, "pretrain", cfg, {"role": args.role})
+    weights = cfg.loss_weights()
     speech, noise = make_datasets(cfg)
-    dataset = speech if args.role == "speech" else noise
-    model, log = pretrain_vae(args.role, dataset, cfg, cfg.loss_weights())
-    save_model(out / f"{args.role}_vae.ckpt", model,
-               {"loss_weights": vars(cfg.loss_weights())})
-    write_training_log(out / f"{args.role}_vae_log.csv", log)
+    model = _pretrain(out, args.role, speech if args.role == "speech" else noise, cfg, weights)
+    save_model(out / f"{args.role}_vae.ckpt", model, {"loss_weights": vars(weights)})
 
 
 def _pretrained(path, flag: str, role: str):
@@ -251,24 +275,16 @@ def _pretrained(path, flag: str, role: str):
             stored_weights(config, "loss_weights"))
 
 
-def cmd_train_nsvae(args) -> None:
-    cfg = _load_run_config(args)
+def cmd_train_nsvae(args, cfg: RunConfig) -> None:
     out = Path(args.out)
     write_manifest(out, "train-nsvae", cfg,
                    {"cvae": str(args.cvae), "nvae": str(args.nvae)})
     cvae, cvae_weights = _pretrained(args.cvae, "--cvae", "speech")
     nvae, nvae_weights = _pretrained(args.nvae, "--nvae", "noise")
-    speech, noise = make_datasets(cfg)
-    triples = make_training_triples(cfg, speech, noise)
-    nsvae, log = train_nsvae(cvae, nvae, triples, cfg)
-    bundle = ModelBundle(cvae=cvae, nvae=nvae, nsvae=nsvae,
-                         cvae_weights=cvae_weights, nvae_weights=nvae_weights)
-    save_bundle(out / "bundle.ckpt", bundle)
-    write_training_log(out / "nsvae_log.csv", log)
+    _train_bundle(out, cfg, *make_datasets(cfg), cvae, nvae, cvae_weights, nvae_weights)
 
 
-def cmd_enhance(args) -> None:
-    cfg = _load_run_config(args)
+def cmd_enhance(args, cfg: RunConfig) -> None:
     bundle = load_bundle(args.bundle)
     noisy = load_wav(args.in_path)
     out_path = Path(args.out)
@@ -276,24 +292,18 @@ def cmd_enhance(args) -> None:
     write_manifest(out_path.parent, "enhance", cfg,
                    {"bundle": str(args.bundle), "in": str(args.in_path),
                     "out": out_path.name})
-    rng = np.random.default_rng(cfg.seed) if args.sample_latent else None
-    save_wav(out_path, enhance(bundle, noisy, sample_latent=args.sample_latent,
-                               rng=rng))
+    rng = np.random.default_rng(cfg.seed) if args.sample else None
+    save_wav(out_path, enhance(bundle, noisy, rng))
 
 
-def cmd_evaluate(args) -> None:
-    cfg = _load_run_config(args)
+def cmd_evaluate(args, cfg: RunConfig) -> None:
     out = Path(args.out)
     write_manifest(out, "evaluate", cfg, {"bundle": str(args.bundle)})
-    bundle = load_bundle(args.bundle)
-    triples = make_eval_triples(cfg)
-    rows = evaluate_bundle(triples, [enhance_details(bundle, t.mixture) for t in triples])
-    write_metrics_csv(out / "metrics.csv", rows)
-    _write_json(out / "summary.json", summarize_metrics(rows))
+    summary, _ = _evaluate(out, cfg, load_bundle(args.bundle))
+    _write_json(out / "summary.json", summary)
 
 
-def cmd_latent_viz(args) -> None:
-    cfg = _load_run_config(args)
+def cmd_latent_viz(args, cfg: RunConfig) -> None:
     out = Path(args.out)
     write_manifest(out, "latent-viz", cfg, {"bundle": str(args.bundle)})
     bundle = load_bundle(args.bundle)
@@ -303,32 +313,18 @@ def cmd_latent_viz(args) -> None:
 
 
 def run_setting(cfg: RunConfig, setting: int, out_dir: Path) -> dict:
-    """Full chain for one loss-weight setting; returns the summary row."""
+    """The stages of `pretrain`, `train-nsvae`, `evaluate` and `latent-viz` for one
+    setting, seeded `cfg.seed + SEED_PER_SETTING * setting`; returns its comparison row."""
     weights = SETTINGS[setting]
-    seed = cfg.seed + SEED_PER_SETTING * setting
-    scfg = cfg.with_seed(seed)
+    scfg = cfg.with_seed(cfg.seed + SEED_PER_SETTING * setting)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     speech, noise = make_datasets(scfg)
-    cvae, log_c = pretrain_vae("speech", speech, scfg, weights)
-    nvae, log_n = pretrain_vae("noise", noise, scfg, weights)
-    write_training_log(out_dir / "speech_vae_log.csv", log_c)
-    write_training_log(out_dir / "noise_vae_log.csv", log_n)
-
-    triples = make_training_triples(scfg, speech, noise)
-    nsvae, log_ns = train_nsvae(cvae, nvae, triples, scfg)
-    write_training_log(out_dir / "nsvae_log.csv", log_ns)
-    bundle = ModelBundle(cvae=cvae, nvae=nvae, nsvae=nsvae,
-                         cvae_weights=weights, nvae_weights=weights)
-    save_bundle(out_dir / "bundle.ckpt", bundle)
-
-    eval_triples = make_eval_triples(scfg)
-    results = [enhance_details(bundle, t.mixture) for t in eval_triples]
-    rows = evaluate_bundle(eval_triples, results)
-    write_metrics_csv(out_dir / "metrics.csv", rows)
-    stats = export_latents(out_dir, results)
-    summary = summarize_metrics(rows)
-    summary["separation"] = stats
+    cvae = _pretrain(out_dir, "speech", speech, scfg, weights)
+    nvae = _pretrain(out_dir, "noise", noise, scfg, weights)
+    bundle = _train_bundle(out_dir, scfg, speech, noise, cvae, nvae, weights, weights)
+    summary, results = _evaluate(out_dir, scfg, bundle)
+    summary["separation"] = stats = export_latents(out_dir, results)
     _write_json(out_dir / "summary.json", summary)
 
     return {
@@ -357,8 +353,7 @@ def write_comparison_csv(path, rows: list[dict]) -> None:
                 for c in cols) + "\n")
 
 
-def cmd_ablation(args) -> None:
-    cfg = _load_run_config(args)
+def cmd_ablation(args, cfg: RunConfig) -> None:
     try:
         settings = [int(s) for s in args.settings.split(",") if s.strip()]
     except ValueError:
@@ -387,12 +382,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        command = args.command
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        _COMMANDS[command](args)
+        _COMMANDS[args.command](args, _load_run_config(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -4,8 +4,8 @@ One file drives every command: topology, training hyperparameters, loss
 weights, synthetic-data sizing, and the seed. Defaults are the full-scale
 values; desk-scale runs override the topology and dataset keys. `RunConfig`
 is the one config object: the training loops read it directly, and it checks
-its topology, training and data-size values when built, naming the key of a
-rejected value.
+its topology, training, loss-weight and data values when built, naming the key
+of a rejected value.
 """
 
 from __future__ import annotations
@@ -52,13 +52,19 @@ class RunConfig:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.patience >= self.max_epochs:
             raise ValueError(f"patience must be smaller than max_epochs, got "
                              f"{self.patience} >= {self.max_epochs}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
+        self.loss_weights()          # LossWeights names a rejected weight by its key
+        for key in ("snr_lo", "snr_hi", "snr_eval"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
+        if self.snr_lo > self.snr_hi:
+            raise ValueError(f"snr_lo must not exceed snr_hi, got {self.snr_lo} > {self.snr_hi}")
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(beta=self.beta, lambda_od=self.lambda_od,

@@ -34,7 +34,7 @@ class LossWeights:
         for name in ("beta", "lambda_od", "lambda_d"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
-                raise ValueError(f"loss weight {name} must be finite and >= 0, got {v}")
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
 # the four ablation settings, numbered as in reports

@@ -161,6 +161,8 @@ def load_wav(path) -> Waveform:
         reader = wave.open(str(path), "rb")
     except (wave.Error, EOFError) as exc:
         raise WavFormatError(f"container: not a readable RIFF/WAVE file ({exc})") from exc
+    except RuntimeError:            # `wave` seeking past the end of the RIFF chunk
+        raise WavFormatError("container: a chunk size runs past the end of the file") from None
     with reader:
         if reader.getcomptype() != "NONE":
             raise WavFormatError(
@@ -174,7 +176,11 @@ def load_wav(path) -> Waveform:
         if reader.getframerate() != SAMPLE_RATE:
             raise WavFormatError(
                 f"sample_rate: expected {SAMPLE_RATE} Hz, got {reader.getframerate()}")
-        raw = reader.readframes(reader.getnframes())
+        n_frames = reader.getnframes()
+        raw = reader.readframes(n_frames)
+    if len(raw) != 2 * n_frames:
+        raise WavFormatError(f"data: header declares {n_frames} frames ({2 * n_frames} bytes), "
+                             f"the file holds {len(raw)} bytes")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples)
 

@@ -94,8 +94,6 @@ def permutation_loss(ns: NsvaeModel, cvae: VaeModel, nvae: VaeModel,
         raise ValueError(
             f"latent dims disagree: nsvae {ns.latent_dim}, "
             f"cvae {cvae.latent_dim}, nvae {nvae.latent_dim}")
-    if y.ndim == 2:
-        y, x, v = y[None], x[None], v[None]
     n_batch = y.shape[0]
 
     qx_y, qv_y = ns.encode_batch(Tensor(stack_time_major(y, ns.dtype)), n_batch)

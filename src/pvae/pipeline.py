@@ -210,46 +210,37 @@ def train_nsvae(cvae: VaeModel, nvae: VaeModel, triples: list[MixTriple],
 class EnhanceResult:
     enhanced: Waveform
     mask: np.ndarray              # (F, N) in (0, 1)
-    speech_lps: np.ndarray        # (T, F) decoder mean for speech
-    noise_lps: np.ndarray         # (T, F) decoder mean for noise
     z_speech: np.ndarray          # (T, L) latents fed to the decoders
     z_noise: np.ndarray
 
 
 def enhance_details(bundle: ModelBundle, noisy: Waveform,
-                    sample_latent: bool = False,
                     rng: np.random.Generator | None = None) -> EnhanceResult:
-    """Masked enhancement with intermediates exposed for analysis.
+    """Masked enhancement with the mask and the latents exposed for analysis.
 
-    Latents default to the posterior means, giving deterministic output;
-    sample_latent draws through the reparameterization instead.
+    Without `rng` the decoders see the posterior means, so the output is a
+    deterministic function of `bundle` and `noisy`; with `rng` each latent is
+    drawn from its posterior through the reparameterization.
     """
     spec = stft(noisy)
-    y = lps(spec.frames).T.astype(bundle.nsvae.dtype)
     with ad.no_grad():
-        qx, qv = bundle.nsvae.encode(y)
-        if sample_latent:
-            rng = rng or np.random.default_rng(0)
-            z_x = reparameterize(qx, rng).data
-            z_v = reparameterize(qv, rng).data
+        qx, qv = bundle.nsvae.encode(lps(spec.frames).T)
+        if rng is None:
+            z_x, z_v = qx.mu_array, qv.mu_array
         else:
-            z_x = qx.mu_array
-            z_v = qv.mu_array
-        x_lps = bundle.cvae.decode(z_x.astype(bundle.cvae.dtype)).mu_array
-        v_lps = bundle.nvae.decode(z_v.astype(bundle.nvae.dtype)).mu_array
+            z_x, z_v = reparameterize(qx, rng).data, reparameterize(qv, rng).data
+        x_mag = lps_to_magnitude(bundle.cvae.decode(z_x).mu_array.T)
+        v_mag = lps_to_magnitude(bundle.nvae.decode(z_v).mu_array.T)
 
-    x_mag = lps_to_magnitude(x_lps.astype(np.float64).T)
-    v_mag = lps_to_magnitude(v_lps.astype(np.float64).T)
     masked = apply_mask(x_mag, v_mag, spec.frames)
-    out = istft(Spectrogram(masked))
-    return EnhanceResult(enhanced=out, mask=x_mag / (x_mag + v_mag),
-                         speech_lps=x_lps, noise_lps=v_lps,
+    return EnhanceResult(enhanced=istft(Spectrogram(masked)), mask=x_mag / (x_mag + v_mag),
                          z_speech=z_x, z_noise=z_v)
 
 
-def enhance(bundle: ModelBundle, noisy: Waveform, sample_latent: bool = False,
+def enhance(bundle: ModelBundle, noisy: Waveform,
             rng: np.random.Generator | None = None) -> Waveform:
-    return enhance_details(bundle, noisy, sample_latent, rng).enhanced
+    """The enhanced waveform of `enhance_details`; `rng` selects sampled latents."""
+    return enhance_details(bundle, noisy, rng).enhanced
 
 
 # ---------------------------------------------------------------------------

@@ -199,21 +199,19 @@ def kl_std_normal_sum(mu: Tensor, var: Tensor) -> Tensor:
 
 def stack_time_major(batch: np.ndarray, dtype) -> np.ndarray:
     """(B, T, F) -> (T*B, F) with row t*B + b holding frame t of sequence b."""
-    if batch.ndim == 2:
-        batch = batch[None]
+    if batch.ndim != 3:
+        raise ValueError(f"stack_time_major: expected a (B, T, F) batch, got shape {batch.shape}")
     b, t, f = batch.shape
     return np.ascontiguousarray(batch.transpose(1, 0, 2).reshape(t * b, f)).astype(dtype, copy=False)
 
 
 def forward_terms(model: VaeModel, batch: np.ndarray, rng: np.random.Generator):
-    """One stochastic forward pass; returns per-frame mean NLL and KL plus
-    the posterior-mean stack (for covariance regularizers downstream).
+    """One stochastic forward pass over a (B, T, F) batch; returns per-frame mean
+    NLL and KL plus the posterior-mean stack (for covariance regularizers downstream).
     """
     batch = np.asarray(batch)
-    if batch.ndim == 2:
-        batch = batch[None]
-    n_batch = batch.shape[0]
     x = Tensor(stack_time_major(batch, model.dtype))
+    n_batch = batch.shape[0]
     q = model.encode_batch(x, n_batch)
     p = model.decode_batch(reparameterize(q, rng), n_batch)
     n_frames = x.data.shape[0]

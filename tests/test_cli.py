@@ -237,6 +237,39 @@ class TestAblation:
         assert manifest["settings"] == [3]
 
 
+class TestDataDir:
+    """`data_dir` replaces the synthesized training clips with the WAVs under
+    its `speech/` and `noise/` directories."""
+
+    def data_cfg(self, tmp_path, data):
+        path = tmp_path / "data.cfg"
+        path.write_text(MICRO_CFG + f"data_dir = {data}\n")
+        return str(path)
+
+    def test_ablation_reads_every_wav(self, cfg_file, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        assert run("synth-data", "--config", cfg_file, "--out", str(data)) == 0
+        reads = []
+
+        def recording(path):
+            reads.append(path)
+            return load_wav(path)
+
+        monkeypatch.setattr(pvae.cli, "load_wav", recording)
+        assert run("ablation", "--config", self.data_cfg(tmp_path, data),
+                   "--settings", "3", "--out", str(tmp_path / "abl")) == 0
+        assert sorted(reads) == sorted(data.rglob("*.wav"))
+
+    def test_empty_speech_dir_is_runtime_error(self, cfg_file, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run("synth-data", "--config", cfg_file, "--out", str(data)) == 0
+        for wav in (data / "speech").glob("*.wav"):
+            wav.unlink()
+        assert run("ablation", "--config", self.data_cfg(tmp_path, data),
+                   "--settings", "3", "--out", str(tmp_path / "abl")) == 2
+        assert capsys.readouterr().err == f"error: no WAV files under {data / 'speech'}\n"
+
+
 class TestEvaluateShortClips:
     """A clip must keep one STFT frame after both edges are trimmed."""
 

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pvae
 from pvae.config import RunConfig, load_config, parse_config_text
@@ -103,6 +105,49 @@ class TestTrainingValues:
     def test_patience_must_undercut_epochs(self):
         with pytest.raises(ValueError, match="^patience must be smaller than max_epochs"):
             parse_config_text("max_epochs = 10\npatience = 10")
+
+
+class TestLossAndSnrValues:
+    @pytest.mark.parametrize("text, message", [
+        ("beta = -1", "beta must be finite and >= 0, got -1.0"),
+        ("lambda_od = nan", "lambda_od must be finite and >= 0, got nan"),
+        ("lambda_d = inf", "lambda_d must be finite and >= 0, got inf"),
+        ("lr = inf", "lr must be finite and positive, got inf"),
+        ("snr_eval = nan", "snr_eval must be finite, got nan"),
+        ("snr_lo = -inf", "snr_lo must be finite, got -inf"),
+        ("snr_hi = inf", "snr_hi must be finite, got inf"),
+        ("snr_lo = 10\nsnr_hi = -10", "snr_lo must not exceed snr_hi, got 10.0 > -10.0")],
+        ids=["beta", "lambda_od", "lambda_d", "lr", "snr_eval", "snr_lo", "snr_hi", "snr_order"])
+    def test_rejected_naming_key(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_config_text(text)
+        assert str(info.value) == message
+
+    def test_edge_values_accepted(self):
+        cfg = parse_config_text("beta = 0\nlambda_od = 0\nsnr_lo = 3\nsnr_hi = 3\n"
+                                "snr_eval = -30")
+        assert (cfg.beta, cfg.snr_lo, cfg.snr_hi, cfg.snr_eval) == (0.0, 3.0, 3.0, -30.0)
+
+
+DESK_TEXT = (Path(__file__).resolve().parent.parent / "configs" / "desk.cfg").read_text()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzz_edited_desk_config_parses_or_raises_value_error(data):
+    """Up to three splices into `configs/desk.cfg` (delete a few characters,
+    insert a few): parsing returns a `RunConfig` or raises `ValueError`."""
+    text = DESK_TEXT
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        pos = data.draw(st.integers(0, len(text)), label="position")
+        cut = data.draw(st.integers(0, 4), label="cut")
+        insert = data.draw(st.text(st.sampled_from("0123456789-+.eE_=#naifx \n\t\x00\u00e9"),
+                                   max_size=4), label="insert")
+        text = text[:pos] + insert + text[pos + cut:]
+    try:
+        parse_config_text(text)
+    except ValueError:
+        pass
 
 
 def test_config_does_not_import_pipeline():

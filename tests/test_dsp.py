@@ -8,7 +8,7 @@ import wave
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pvae import dsp
@@ -251,6 +251,50 @@ class TestWavIO:
         p.write_bytes(b"not a riff file at all, nope")
         with pytest.raises(WavFormatError, match="container"):
             dsp.load_wav(p)
+
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_rejects_cut_data_naming_field(self, tmp_path, wav40, cut):
+        p = tmp_path / "cut.wav"
+        p.write_bytes(wav40[:-cut])
+        with pytest.raises(WavFormatError, match=rf"^data: header declares 40 frames "
+                                                 rf"\(80 bytes\), the file holds {80 - cut} bytes$"):
+            dsp.load_wav(p)
+
+    def test_rejects_chunk_past_end_naming_field(self, tmp_path, wav40):
+        edited = bytearray(wav40)
+        edited[16] = 0x7f                   # fmt chunk size 127 overruns the file
+        p = tmp_path / "overrun.wav"
+        p.write_bytes(bytes(edited))
+        with pytest.raises(WavFormatError, match="^container: a chunk size runs past the end"):
+            dsp.load_wav(p)
+
+
+@pytest.fixture(scope="module")
+def wav40(tmp_path_factory):
+    """The bytes of a 40-sample WAV written by `save_wav` (124 bytes)."""
+    path = tmp_path_factory.mktemp("wav") / "clip.wav"
+    dsp.save_wav(path, Waveform(np.linspace(-0.5, 0.5, 40)))
+    return path.read_bytes()
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_edited_wav_loads_or_raises_wav_format_error(wav40, tmp_path, data):
+    """One byte replaced, or the file cut to any length: `load_wav` returns
+    or raises `WavFormatError`, never another exception."""
+    if data.draw(st.booleans(), label="cut"):
+        edited = wav40[:data.draw(st.integers(0, len(wav40) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, len(wav40) - 1), label="position")
+        value = data.draw(st.integers(0, 255).filter(lambda v: v != wav40[pos]), label="value")
+        edited = wav40[:pos] + bytes([value]) + wav40[pos + 1:]
+    path = tmp_path / "fuzz.wav"
+    path.write_bytes(edited)
+    try:
+        dsp.load_wav(path)
+    except WavFormatError:
+        pass
 
 
 @settings(max_examples=20, deadline=None)

@@ -178,6 +178,12 @@ class TestPermutationLoss:
             y, x, v = (rng.normal(size=(1, 4, 5)) for _ in range(3))
             assert permutation_loss(ns, cvae, nvae, y, x, v).item() >= 0.0
 
+    def test_unbatched_sequences_rejected_naming_shape(self, rng):
+        ns, cvae, nvae = self.setup_models()
+        y, x, v = (rng.normal(size=(3, 5)) for _ in range(3))
+        with pytest.raises(ValueError, match=r"expected a \(B, T, F\) batch, got shape \(3, 5\)"):
+            permutation_loss(ns, cvae, nvae, y, x, v)
+
     def test_frozen_models_receive_zero_gradient(self, rng):
         ns, cvae, nvae = self.setup_models()
         loss = permutation_loss(ns, cvae, nvae, *(rng.normal(size=(1, 3, 5)) for _ in range(3)))

@@ -246,7 +246,7 @@ class TestEnhance:
         bundle = tiny_bundle()
         noisy = self.noisy()
         mean_out = enhance(bundle, noisy)
-        samp_out = enhance(bundle, noisy, sample_latent=True,
+        samp_out = enhance(bundle, noisy,
                            rng=np.random.default_rng(5))
         assert not np.array_equal(mean_out.samples, samp_out.samples)
 

@@ -5,6 +5,8 @@ independent scipy log-density oracle; gradient checks run on a shrunken
 topology so finite differences stay fast.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -295,6 +297,12 @@ class TestElboLoss:
     def test_empty_batch_rejected(self, rng):
         with pytest.raises(ValueError, match="empty"):
             vae.elbo_loss(tiny_model(rng), np.zeros((0, 0, 6)), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(7, 6), (6,), (1, 2, 7, 6)])
+    def test_batch_not_btf_rejected_naming_shape(self, rng, shape):
+        with pytest.raises(ValueError, match=rf"expected a \(B, T, F\) batch, got shape "
+                                             rf"{re.escape(str(shape))}"):
+            vae.elbo_loss(tiny_model(rng), np.zeros(shape), np.random.default_rng(0))
 
     def test_full_loss_gradient_check(self, rng):
         m = tiny_model(rng, input_dim=4, hidden_dim=3, latent_dim=2)
