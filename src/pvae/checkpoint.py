@@ -13,6 +13,10 @@ Layout (all integers little-endian):
         f32  payload, C order
     u32    CRC-32 of every preceding byte
 
+Two kinds are written: a `vae` (one pretrained VAE and its loss weights,
+through `save_vae` and `load_vae` here) and a `bundle` (the three trained
+models, through `pipeline.save_bundle` and `pipeline.load_bundle`).
+
 Tensors are stored as float32 regardless of the in-memory training dtype, so
 a save/load round trip is bit-exact exactly when the model runs in float32.
 Models are therefore loaded, and trained, in `MODEL_DTYPE`.
@@ -36,7 +40,6 @@ import numpy as np
 
 from . import CHECKPOINT_FORMAT_VERSION
 from .diploss import LossWeights
-from .nsvae import NsvaeModel
 from .vae import FrameModel, VaeModel
 
 MAGIC = b"PVAE"
@@ -45,6 +48,10 @@ MODEL_DTYPE = np.float32
 
 class CheckpointError(ValueError):
     """Malformed checkpoint; the message names the failing section."""
+
+
+class WrongModelError(CheckpointError):
+    """A checkpoint of another kind or role than the one asked for."""
 
 
 def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -136,9 +143,6 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     return config, tensors
 
 
-MODEL_KINDS = {"vae": VaeModel, "nsvae": NsvaeModel}
-
-
 def load_parameters(module, tensors: dict[str, np.ndarray], path):
     """Bind `tensors` to `module`'s parameters, whose names they must match
     exactly, each copied once into its parameter's dtype; returns `module`."""
@@ -186,16 +190,18 @@ def stored_weights(config: dict, key: str) -> LossWeights:
         raise CheckpointError(f"config: {key!r} section: {exc}") from None
 
 
-def save_model(path, model, extra_config: dict | None = None) -> None:
-    kind = "nsvae" if isinstance(model, NsvaeModel) else "vae"
-    config = dict(model.config(), kind=kind, **(extra_config or {}))
-    save_checkpoint(path, config, {name: p.data for name, p in model.named_parameters().items()})
+def save_vae(path, model: VaeModel, weights: LossWeights) -> None:
+    """Write `model` as a `vae` checkpoint with the loss `weights` it was trained under."""
+    save_checkpoint(path, dict(model.config(), kind="vae", loss_weights=vars(weights)),
+                    {name: p.data for name, p in model.named_parameters().items()})
 
 
-def load_model(path):
+def load_vae(path, role: str) -> tuple[VaeModel, LossWeights]:
+    """The `role` VAE that `save_vae` wrote to `path`, and its loss weights."""
     config, tensors = load_checkpoint(path)
-    kind = config.get("kind")
-    cls = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise CheckpointError(f"config: unknown model kind {kind!r}")
-    return load_parameters(new_model(cls, config), tensors, path)
+    if config.get("kind") != "vae":
+        raise WrongModelError(f"expected a {role} VAE checkpoint, got kind {config.get('kind')!r}")
+    model = new_model(VaeModel, config)
+    if model.role != role:
+        raise WrongModelError(f"expected a {role} VAE checkpoint, got role {model.role!r}")
+    return load_parameters(model, tensors, path), stored_weights(config, "loss_weights")

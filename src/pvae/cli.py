@@ -21,7 +21,7 @@ from . import CHECKPOINT_FORMAT_VERSION, __version__
 from .analysis import (LatentCloud, log_spectral_distance, pca_fit,
                        separation_stats, si_snr, write_latent_csv,
                        write_latent_svg, write_metrics_csv)
-from .checkpoint import load_checkpoint, load_parameters, new_model, save_model, stored_weights
+from .checkpoint import WrongModelError, load_vae, save_vae
 from .config import RunConfig, load_config
 from .datagen import mix_at_snr, synth_dataset
 from .diploss import SETTINGS, LossWeights
@@ -261,26 +261,23 @@ def cmd_pretrain(args, cfg: RunConfig) -> None:
     weights = cfg.loss_weights()
     speech, noise = make_datasets(cfg)
     model = _pretrain(out, args.role, speech if args.role == "speech" else noise, cfg, weights)
-    save_model(out / f"{args.role}_vae.ckpt", model, {"loss_weights": vars(weights)})
+    save_vae(out / f"{args.role}_vae.ckpt", model, weights)
 
 
-def _pretrained(path, flag: str, role: str):
-    """(`role` VAE, its loss weights) read once from `path`; errors name `flag`."""
-    config, tensors = load_checkpoint(path)
-    kind = config.get("kind")
-    if kind != "vae" or config.get("role") != role:
-        got = f"kind {kind!r}" if kind != "vae" else f"role {config.get('role')!r}"
-        raise ValueError(f"{flag}: expected a {role} VAE checkpoint, got {got}")
-    return (load_parameters(new_model(VaeModel, config), tensors, path),
-            stored_weights(config, "loss_weights"))
+def _load_vae(path, flag: str, role: str):
+    """`load_vae`; a checkpoint of another kind or role is named by `flag`."""
+    try:
+        return load_vae(path, role)
+    except WrongModelError as exc:
+        raise WrongModelError(f"{flag}: {exc}") from None
 
 
 def cmd_train_nsvae(args, cfg: RunConfig) -> None:
     out = Path(args.out)
     write_manifest(out, "train-nsvae", cfg,
                    {"cvae": str(args.cvae), "nvae": str(args.nvae)})
-    cvae, cvae_weights = _pretrained(args.cvae, "--cvae", "speech")
-    nvae, nvae_weights = _pretrained(args.nvae, "--nvae", "noise")
+    cvae, cvae_weights = _load_vae(args.cvae, "--cvae", "speech")
+    nvae, nvae_weights = _load_vae(args.nvae, "--nvae", "noise")
     _train_bundle(out, cfg, *make_datasets(cfg), cvae, nvae, cvae_weights, nvae_weights)
 
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .diploss import LossWeights
+from .dsp import FRAME_LEN, HOP, SAMPLE_RATE
 
 
 @dataclass
@@ -50,8 +51,17 @@ class RunConfig:
                     "segment_len", "n_speech", "n_noise", "n_eval"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
+        if not self.data_dir:
+            # STFT frames of one synthesized clip; the cap keeps round() finite
+            samples = round(min(self.duration_s * SAMPLE_RATE, 2.0 ** 62))
+            frames = max((samples - FRAME_LEN) // HOP + 1, 0)
+            if self.segment_len > frames:
+                raise ValueError(f"segment_len must not exceed the {frames} frames of one "
+                                 f"duration_s = {self.duration_s} clip, got {self.segment_len}")
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.patience >= self.max_epochs:

@@ -46,20 +46,15 @@ SETTINGS = {
 }
 
 
-def _as_matrix(mus) -> Tensor:
-    m = mus if isinstance(mus, Tensor) else Tensor(np.asarray(mus, dtype=np.float64))
+def mean_covariance(m: Tensor) -> Tensor:
+    """Population covariance (1/B) sum (mu_b - mean)(mu_b - mean)^T of a
+    (B, L) matrix of posterior means.
+
+    The batch axis is treated as i.i.d. draws regardless of which utterance
+    a frame came from.
+    """
     if m.data.ndim != 2:
         raise ValueError(f"expected a (batch, L) matrix, got shape {m.data.shape}")
-    return m
-
-
-def mean_covariance(mus) -> Tensor:
-    """Population covariance (1/B) sum (mu_b - mean)(mu_b - mean)^T.
-
-    Differentiable when `mus` is a graph Tensor; the batch axis is treated
-    as i.i.d. draws regardless of which utterance a frame came from.
-    """
-    m = _as_matrix(mus)
     n = m.data.shape[0]
     if n < 2:
         raise ValueError(f"mean_covariance: need a batch of >= 2, got {n}")
@@ -70,19 +65,15 @@ def mean_covariance(mus) -> Tensor:
 
 def total_covariance(params: GaussianParams) -> Tensor:
     """diag(mean var) + Cov(mu): the covariance of z pooled over the batch."""
-    m = _as_matrix(params.mu)
-    v = params.var if isinstance(params.var, Tensor) else Tensor(
-        np.asarray(params.var, dtype=np.float64))
-    cov_mu = mean_covariance(m)
-    dim = m.data.shape[1]
+    cov_mu = mean_covariance(params.mu)
+    dim = cov_mu.data.shape[0]
     eye = Tensor(np.eye(dim, dtype=cov_mu.data.dtype))
-    mean_var = ad.tmean(v, axis=0)
+    mean_var = ad.tmean(params.var, axis=0)
     return ad.add(cov_mu, ad.mul(eye, ad.broadcast_rows(mean_var, dim)))
 
 
-def dip_regularizer(cov_mu, w: LossWeights) -> Tensor:
+def dip_regularizer(c: Tensor, w: LossWeights) -> Tensor:
     """lambda_od * sum_{i != j} C_ij^2 + lambda_d * sum_i (C_ii - 1)^2."""
-    c = cov_mu if isinstance(cov_mu, Tensor) else Tensor(np.asarray(cov_mu, dtype=np.float64))
     if c.data.ndim != 2 or c.data.shape[0] != c.data.shape[1]:
         raise ValueError(f"dip_regularizer: expected square matrix, got {c.data.shape}")
     dim = c.data.shape[0]

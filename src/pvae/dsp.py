@@ -1,5 +1,5 @@
 """Time-frequency front-end: STFT analysis/synthesis, log-power spectra,
-and real-valued mask reconstruction.
+and the real-valued Wiener mask.
 
 Conventions, fixed throughout the package:
   frame_len 512 samples (32 ms at 16 kHz), hop 256 (50% overlap),
@@ -130,22 +130,17 @@ def lps_to_magnitude(values: np.ndarray) -> np.ndarray:
     return 10.0 ** exponent
 
 
-def apply_mask(x_mag: np.ndarray, v_mag: np.ndarray, y_frames: np.ndarray) -> np.ndarray:
-    """Wiener-like magnitude mask: X_hat = (|X| / (|X| + |V|)) * Y.
+def wiener_mask(x_mag: np.ndarray, v_mag: np.ndarray) -> np.ndarray:
+    """Wiener-like magnitude mask |X| / (|X| + |V|), applied as X_hat = mask * Y.
 
-    Both magnitude arguments must be strictly positive, which the exponent
-    clamp in lps_to_magnitude guarantees; the mask then lies in (0, 1).
+    Both magnitudes must be strictly positive, which the exponent clamp in
+    lps_to_magnitude guarantees; the mask then lies in (0, 1).
     """
-    x_mag = np.asarray(x_mag, dtype=np.float64)
-    v_mag = np.asarray(v_mag, dtype=np.float64)
-    if x_mag.shape != v_mag.shape or x_mag.shape != np.asarray(y_frames).shape:
-        raise ValueError(
-            f"apply_mask: shape mismatch {x_mag.shape}, {v_mag.shape}, "
-            f"{np.asarray(y_frames).shape}")
+    if x_mag.shape != v_mag.shape:
+        raise ValueError(f"wiener_mask: shape mismatch {x_mag.shape}, {v_mag.shape}")
     if np.any(x_mag <= 0) or np.any(v_mag <= 0):
-        raise ValueError("apply_mask: magnitudes must be strictly positive")
-    mask = x_mag / (x_mag + v_mag)
-    return mask * np.asarray(y_frames)
+        raise ValueError("wiener_mask: magnitudes must be strictly positive")
+    return x_mag / (x_mag + v_mag)
 
 
 # ---------------------------------------------------------------------------

@@ -48,22 +48,20 @@ class NsvaeModel(FrameModel):
         noisy frames."""
         with nn.stage("encode", n_batch):
             wide = self.fc_wide(self.trunk(y_stack, n_batch), n_batch)
-            qx = gaussian_head(wide, self.head_mu_x, self.head_logvar_x, n_batch)
-            qv = gaussian_head(wide, self.head_mu_v, self.head_logvar_v, n_batch)
-        return GaussianParams(*qx), GaussianParams(*qv)
+            return (gaussian_head(wide, self.head_mu_x, self.head_logvar_x, n_batch),
+                    gaussian_head(wide, self.head_mu_v, self.head_logvar_v, n_batch))
 
 
 # ---------------------------------------------------------------------------
 # closed-form KL between diagonal Gaussians
 # ---------------------------------------------------------------------------
 
-def kl_diag_gaussians(q1: GaussianParams, q2: GaussianParams) -> float:
+def kl_diag_gaussians(mu1: np.ndarray, var1: np.ndarray,
+                      mu2: np.ndarray, var2: np.ndarray) -> float:
     """KL( N(mu1, var1) || N(mu2, var2) ), both diagonal.
 
     = 1/2 sum_i [ log(var2_i/var1_i) + (var1_i + (mu1_i - mu2_i)^2)/var2_i - 1 ]
     """
-    mu1, var1 = q1.mu_array, q1.var_array
-    mu2, var2 = q2.mu_array, q2.var_array
     if mu1.shape != mu2.shape:
         raise ValueError(f"kl: shape mismatch {mu1.shape} vs {mu2.shape}")
     if np.any(var1 <= 0) or np.any(var2 <= 0):

@@ -22,7 +22,7 @@ from .checkpoint import (MODEL_DTYPE, CheckpointError, load_checkpoint, load_par
 from .config import RunConfig
 from .datagen import MixTriple
 from .diploss import LossWeights, dip_total_loss
-from .dsp import Spectrogram, Waveform, apply_mask, istft, lps, lps_to_magnitude, stft
+from .dsp import Spectrogram, Waveform, istft, lps, lps_to_magnitude, stft, wiener_mask
 from .nn import Adam, Module, clip_grad_norm
 from .nsvae import NsvaeModel, permutation_loss
 from .vae import VaeModel, reparameterize
@@ -226,15 +226,15 @@ def enhance_details(bundle: ModelBundle, noisy: Waveform,
     with ad.no_grad():
         qx, qv = bundle.nsvae.encode(lps(spec.frames).T)
         if rng is None:
-            z_x, z_v = qx.mu_array, qv.mu_array
+            z_x, z_v = qx.mu, qv.mu
         else:
-            z_x, z_v = reparameterize(qx, rng).data, reparameterize(qv, rng).data
-        x_mag = lps_to_magnitude(bundle.cvae.decode(z_x).mu_array.T)
-        v_mag = lps_to_magnitude(bundle.nvae.decode(z_v).mu_array.T)
+            z_x, z_v = reparameterize(qx, rng), reparameterize(qv, rng)
+        x_mag = lps_to_magnitude(bundle.cvae.decode(z_x).mu.data.T)
+        v_mag = lps_to_magnitude(bundle.nvae.decode(z_v).mu.data.T)
 
-    masked = apply_mask(x_mag, v_mag, spec.frames)
-    return EnhanceResult(enhanced=istft(Spectrogram(masked)), mask=x_mag / (x_mag + v_mag),
-                         z_speech=z_x, z_noise=z_v)
+    mask = wiener_mask(x_mag, v_mag)
+    return EnhanceResult(enhanced=istft(Spectrogram(mask * spec.frames)), mask=mask,
+                         z_speech=z_x.data, z_noise=z_v.data)
 
 
 def enhance(bundle: ModelBundle, noisy: Waveform,

@@ -27,50 +27,25 @@ VAR_FLOOR = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _np(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
 @dataclass
 class GaussianParams:
-    """Diagonal Gaussian (mu, var); var strictly positive element-wise.
+    """Diagonal Gaussian (mu, var) as graph Tensors; var is floored at VAR_FLOOR."""
 
-    Fields may be Tensors (inside a training graph) or plain arrays.
-    """
-
-    mu: object
-    var: object
-
-    def __post_init__(self):
-        mu, var = _np(self.mu), _np(self.var)
-        if mu.shape != var.shape:
-            raise ValueError(f"gaussian params: mu {mu.shape} vs var {var.shape}")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
-            raise ValueError("gaussian params: non-finite values")
-        if np.any(var <= 0):
-            raise ValueError("gaussian params: variance must be strictly positive")
-
-    @property
-    def mu_array(self) -> np.ndarray:
-        return _np(self.mu)
-
-    @property
-    def var_array(self) -> np.ndarray:
-        return _np(self.var)
+    mu: Tensor
+    var: Tensor
 
 
 def reparameterize(q: GaussianParams, rng: np.random.Generator) -> Tensor:
     """A draw z = mu + sqrt(var) * epsilon, epsilon ~ N(0, I) from `rng`."""
-    mu = q.mu if isinstance(q.mu, Tensor) else Tensor(q.mu)
-    var = q.var if isinstance(q.var, Tensor) else Tensor(q.var)
-    eps = rng.standard_normal(mu.data.shape).astype(mu.data.dtype)
-    return ad.add(mu, ad.mul(ad.sqrt(var), Tensor(eps)))
+    eps = rng.standard_normal(q.mu.data.shape).astype(q.mu.data.dtype)
+    return ad.add(q.mu, ad.mul(ad.sqrt(q.var), Tensor(eps)))
 
 
 def gaussian_head(h: Tensor, mu_head: nn.LinearLayer, logvar_head: nn.LinearLayer,
-                  n_batch: int) -> tuple[Tensor, Tensor]:
+                  n_batch: int) -> GaussianParams:
     """Diagonal Gaussian (mu, var) from two linear heads; var is floored."""
-    return mu_head(h, n_batch), ad.clamp_min(ad.exp(logvar_head(h, n_batch)), VAR_FLOOR)
+    return GaussianParams(mu_head(h, n_batch),
+                          ad.clamp_min(ad.exp(logvar_head(h, n_batch)), VAR_FLOOR))
 
 
 class FrameModel(nn.Module):
@@ -92,9 +67,9 @@ class FrameModel(nn.Module):
     def config(self) -> dict:
         return {key: getattr(self, key) for key in self.CONFIG_KEYS}
 
-    def encode(self, frames):
+    def encode(self, frames: np.ndarray):
         """Single sequence (T, F) -> per-frame posteriors, causal."""
-        arr = _np(frames).astype(self.dtype, copy=False)
+        arr = frames.astype(self.dtype, copy=False)
         if arr.ndim != 2 or arr.shape[1] != self.input_dim:
             raise ValueError(f"encode: expected (T, {self.input_dim}), got {arr.shape}")
         return self.encode_batch(Tensor(arr), n_batch=1)
@@ -135,9 +110,8 @@ class VaeModel(FrameModel):
         segments, never continuations.
         """
         with nn.stage("encode", n_batch):
-            h = self.trunk(x_stack, n_batch)
-            mu, var = gaussian_head(h, self.enc_mu, self.enc_logvar, n_batch)
-        return GaussianParams(mu, var)
+            return gaussian_head(self.trunk(x_stack, n_batch), self.enc_mu, self.enc_logvar,
+                                 n_batch)
 
     def decode_batch(self, z_stack: Tensor, n_batch: int) -> GaussianParams:
         """Likelihood parameters for a time-major (T*B, L) latent stack."""
@@ -145,25 +119,21 @@ class VaeModel(FrameModel):
             h = self.dec_gru(z_stack, n_batch)
             for layer in self.dec_fc:
                 h = layer(h, n_batch)
-            mu, var = gaussian_head(h, self.dec_mu, self.dec_logvar, n_batch)
-        return GaussianParams(mu, var)
+            return gaussian_head(h, self.dec_mu, self.dec_logvar, n_batch)
 
-    def decode(self, z) -> GaussianParams:
-        arr = _np(z)
-        if arr.ndim != 2 or arr.shape[1] != self.latent_dim:
-            raise ValueError(f"decode: expected (T, {self.latent_dim}), got {arr.shape}")
-        z_t = z if isinstance(z, Tensor) else Tensor(arr.astype(self.dtype, copy=False))
-        return self.decode_batch(z_t, n_batch=1)
+    def decode(self, z: Tensor) -> GaussianParams:
+        """Single latent sequence (T, L) -> per-frame likelihood parameters."""
+        if z.data.ndim != 2 or z.data.shape[1] != self.latent_dim:
+            raise ValueError(f"decode: expected (T, {self.latent_dim}), got {z.data.shape}")
+        return self.decode_batch(z, n_batch=1)
 
 
 # ---------------------------------------------------------------------------
 # scalar reference losses (numpy; the training path uses the tensor versions)
 # ---------------------------------------------------------------------------
 
-def gaussian_log_likelihood(s, p: GaussianParams) -> float:
+def gaussian_log_likelihood(s: np.ndarray, mu: np.ndarray, var: np.ndarray) -> float:
     """log N(s; mu, diag var) = -1/2 sum[ log(2 pi var) + (s-mu)^2/var ]."""
-    s = _np(s)
-    mu, var = p.mu_array, p.var_array
     if s.shape != mu.shape:
         raise ValueError(f"log-likelihood: shape mismatch {s.shape} vs {mu.shape}")
     if np.any(var <= 0):
@@ -171,9 +141,8 @@ def gaussian_log_likelihood(s, p: GaussianParams) -> float:
     return float(-0.5 * np.sum(np.log(2.0 * np.pi * var) + (s - mu) ** 2 / var))
 
 
-def kl_to_standard_normal(q: GaussianParams) -> float:
+def kl_to_standard_normal(mu: np.ndarray, var: np.ndarray) -> float:
     """KL( N(mu, diag var) || N(0, I) ) = 1/2 sum(mu^2 + var - log var - 1)."""
-    mu, var = q.mu_array, q.var_array
     if np.any(var <= 0):
         raise ValueError("kl: variance must be positive")
     return float(0.5 * np.sum(mu * mu + var - np.log(var) - 1.0))

@@ -1,0 +1,59 @@
+"""The package surface that the benchmark's traced run reaches.
+
+`perfbench/run.py --trace 1` wraps each entry of `perfbench/spans.py`'s
+`FUNCTIONS`, `METHODS` and `StepTimer.LOSSES` through `spans.Patches`, and
+exits 1 when one of them is missing. These tests look each entry up through
+`Patches` itself (with wrappers that return the original, undone at once),
+so a rename or move in `pvae` fails here in well under a second.
+"""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+
+
+def _identity(fn):
+    return fn
+
+
+@pytest.fixture()
+def patches():
+    p = spans.Patches()
+    yield p
+    p.undo()
+
+
+@pytest.mark.parametrize("module, attr, span", spans.FUNCTIONS,
+                         ids=[f"{m}.{a}" for m, a, _ in spans.FUNCTIONS])
+def test_function_resolves(patches, module, attr, span):
+    assert patches.function(module, attr, _identity), f"{module}.{attr} ({span})"
+
+
+@pytest.mark.parametrize("module, cls, attr, span", spans.METHODS,
+                         ids=[f"{m}.{c}.{a}" for m, c, a, _ in spans.METHODS])
+def test_method_is_defined_on_its_class(patches, module, cls, attr, span):
+    assert patches.method(module, cls, attr, _identity), f"{module}.{cls}.{attr} ({span})"
+
+
+@pytest.mark.parametrize("module, attr, batch_arg", spans.StepTimer.LOSSES,
+                         ids=[f"{m}.{a}" for m, a, _ in spans.StepTimer.LOSSES])
+def test_step_loss_takes_its_batch_positionally(patches, module, attr, batch_arg):
+    assert patches.function(module, attr, _identity), f"{module}.{attr}"
+    fn = getattr(importlib.import_module(module), attr)
+    params = list(inspect.signature(fn).parameters.values())
+    assert batch_arg < len(params), f"{attr} has no argument {batch_arg}"
+    assert params[batch_arg].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD

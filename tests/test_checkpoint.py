@@ -10,6 +10,7 @@ import json
 import struct
 import tracemalloc
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,11 +19,15 @@ from hypothesis import strategies as st
 
 import pvae.cli
 from pvae import CHECKPOINT_FORMAT_VERSION
-from pvae.checkpoint import (CheckpointError, load_checkpoint, load_model,
-                             save_checkpoint, save_model)
+from pvae.checkpoint import CheckpointError, load_checkpoint, load_vae, save_checkpoint, save_vae
+from pvae.diploss import SETTINGS, LossWeights
 from pvae.nsvae import NsvaeModel
 from pvae.pipeline import ModelBundle, load_bundle, save_bundle
 from pvae.vae import VaeModel
+
+
+# the VAE reader, for the tests that run every reader
+load_speech_vae = partial(load_vae, role="speech")
 
 
 def hand_blob(config, tensors):
@@ -166,23 +171,12 @@ class TestModelIo:
         m = VaeModel(input_dim=9, hidden_dim=6, latent_dim=4, role="noise",
                      rng=rng, dtype=np.float32)
         path = tmp_path / "vae.ckpt"
-        save_model(path, m)
-        m2 = load_model(path)
+        save_vae(path, m, SETTINGS[4])
+        m2, weights = load_vae(path, "noise")
         assert isinstance(m2, VaeModel) and m2.role == "noise"
+        assert weights == SETTINGS[4]
         p1, p2 = m.named_parameters(), m2.named_parameters()
         assert set(p1) == set(p2)
-        for name in p1:
-            assert p1[name].data.tobytes() == p2[name].data.tobytes(), name
-
-    def test_nsvae_round_trip_bit_exact_in_float32(self, tmp_path):
-        rng = np.random.default_rng(12)
-        m = NsvaeModel(input_dim=9, hidden_dim=6, latent_dim=4, rng=rng,
-                       dtype=np.float32)
-        path = tmp_path / "ns.ckpt"
-        save_model(path, m)
-        m2 = load_model(path)
-        assert isinstance(m2, NsvaeModel)
-        p1, p2 = m.named_parameters(), m2.named_parameters()
         for name in p1:
             assert p1[name].data.tobytes() == p2[name].data.tobytes(), name
 
@@ -190,18 +184,18 @@ class TestModelIo:
         rng = np.random.default_rng(13)
         m = VaeModel(input_dim=7, hidden_dim=5, latent_dim=3, rng=rng,
                      dtype=np.float32)
-        save_model(tmp_path / "m.ckpt", m)
-        m2 = load_model(tmp_path / "m.ckpt")
+        save_vae(tmp_path / "m.ckpt", m, LossWeights())
+        m2, _ = load_vae(tmp_path / "m.ckpt", "speech")
         x = np.random.default_rng(0).standard_normal((4, 7)).astype(np.float32)
         q1, q2 = m.encode(x), m2.encode(x)
-        assert q1.mu_array.tobytes() == q2.mu_array.tobytes()
-        assert q1.var_array.tobytes() == q2.var_array.tobytes()
+        assert q1.mu.data.tobytes() == q2.mu.data.tobytes()
+        assert q1.var.data.tobytes() == q2.var.data.tobytes()
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "k.ckpt"
         save_checkpoint(path, {"kind": "mlp"}, {})
         with pytest.raises(CheckpointError, match="kind"):
-            load_model(path)
+            load_vae(path, "speech")
 
     def test_missing_tensor_rejected(self, tmp_path):
         m = VaeModel(input_dim=5, hidden_dim=4, latent_dim=2,
@@ -211,7 +205,7 @@ class TestModelIo:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, dict(m.config(), kind="vae"), tensors)
         with pytest.raises(CheckpointError, match="enc.mu.bias"):
-            load_model(path)
+            load_vae(path, "speech")
 
 
 class TestMalformedInput:
@@ -226,7 +220,7 @@ class TestMalformedInput:
         save_checkpoint(path, dict(m.config(), kind="vae", **changes), tensors)
         return path
 
-    @pytest.mark.parametrize("load", [load_model, load_bundle], ids=["model", "bundle"])
+    @pytest.mark.parametrize("load", [load_speech_vae, load_bundle], ids=["model", "bundle"])
     def test_config_not_an_object(self, tmp_path, load):
         path = tmp_path / "c.ckpt"
         save_checkpoint(path, [1, 2], {})
@@ -254,12 +248,12 @@ class TestMalformedInput:
         path = self.vae_file(tmp_path, hidden_dim=value)
         with pytest.raises(CheckpointError, match="^config: 'model' section: hidden_dim "
                                                   "must be a positive integer"):
-            load_model(path)
+            load_vae(path, "speech")
 
     def test_unknown_role(self, tmp_path):
         path = self.vae_file(tmp_path, role="music")
         with pytest.raises(CheckpointError, match="^config: 'model' section: role must be"):
-            load_model(path)
+            load_vae(path, "speech")
 
     def test_bundle_latent_dims_disagree(self, tmp_path):
         path = tmp_path / "b.ckpt"
@@ -286,14 +280,15 @@ class TestOneCopy:
     def test_loads_draw_nothing(self, tmp_path, monkeypatch):
         bundle = tiny_bundle()
         save_bundle(tmp_path / "b.ckpt", bundle)
-        save_model(tmp_path / "m.ckpt", bundle.nsvae)
+        save_vae(tmp_path / "m.ckpt", bundle.cvae, bundle.cvae_weights)
 
         def no_draws(*args, **kwargs):
             raise AssertionError("a load drew random numbers")
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         assert saved_parameters(load_bundle(tmp_path / "b.ckpt")) == saved_parameters(bundle)
-        assert saved_parameters(load_model(tmp_path / "m.ckpt")) == saved_parameters(bundle.nsvae)
+        model, _ = load_vae(tmp_path / "m.ckpt", "speech")
+        assert saved_parameters(model) == saved_parameters(bundle.cvae)
 
     def test_each_byte_copied_once(self, tmp_path):
         kw = dict(input_dim=257, hidden_dim=64, latent_dim=16,
@@ -325,12 +320,12 @@ class TestFuzz:
     def files(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("fuzz")
         bundle = tiny_bundle()
-        save_model(root / "m.ckpt", bundle.cvae)
+        save_vae(root / "m.ckpt", bundle.cvae, bundle.cvae_weights)
         save_bundle(root / "b.ckpt", bundle)
-        return {load_model: (root / "m.ckpt").read_bytes(),
+        return {load_speech_vae: (root / "m.ckpt").read_bytes(),
                 load_bundle: (root / "b.ckpt").read_bytes()}
 
-    @pytest.mark.parametrize("load", [load_model, load_bundle], ids=["model", "bundle"])
+    @pytest.mark.parametrize("load", [load_speech_vae, load_bundle], ids=["model", "bundle"])
     @settings(derandomize=True, max_examples=300, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())

@@ -13,13 +13,13 @@ import pytest
 
 import pvae.checkpoint
 import pvae.cli
-from pvae.checkpoint import save_model
+from pvae.checkpoint import save_checkpoint, save_vae
 from pvae.cli import MIN_EVAL_SAMPLES, evaluate_bundle, main
 from pvae.datagen import mix_at_snr
 from pvae.diploss import SETTINGS
 from pvae.dsp import SAMPLE_RATE, Waveform, load_wav
 from pvae.nsvae import NsvaeModel
-from pvae.pipeline import ModelBundle, enhance_details, load_bundle
+from pvae.pipeline import ModelBundle, enhance_details, load_bundle, save_bundle
 from pvae.vae import VaeModel
 
 MICRO_CFG = """
@@ -81,6 +81,28 @@ class TestExitCodes:
         bad.write_text("nonsense_key = 1\n")
         assert run("synth-data", "--config", str(bad),
                    "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_negative_seed_rejected_before_manifest(self, tmp_path, capsys, source):
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_CFG.replace("seed = 5", "seed = -1") if source == "file"
+                       else MICRO_CFG)
+        flag = ["--seed", "-1"] if source == "flag" else []
+        out = tmp_path / "pre"
+        assert run("pretrain", "--role", "speech", "--config", str(cfg), *flag,
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
+    def test_segment_longer_than_clip_rejected_before_manifest(self, tmp_path, capsys):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(MICRO_CFG.replace("segment_len = 16", "segment_len = 64"))
+        out = tmp_path / "abl"
+        assert run("ablation", "--config", str(cfg), "--settings", "1",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == ("error: segment_len must not exceed the 42 frames "
+                                           "of one duration_s = 0.7 clip, got 64\n")
+        assert not out.exists()
 
 
 class TestSynthData:
@@ -179,13 +201,17 @@ class TestTrainNsvaeInputs:
     @pytest.fixture()
     def ckpts(self, tmp_path):
         rng = np.random.default_rng(1)
-        paths = {}
-        for name, model, weights in (
-                ("speech", VaeModel(257, 8, 4, "speech", rng=rng, dtype=np.float32), SETTINGS[2]),
-                ("noise", VaeModel(257, 8, 4, "noise", rng=rng, dtype=np.float32), SETTINGS[4]),
-                ("nsvae", NsvaeModel(257, 8, 4, rng=rng, dtype=np.float32), None)):
-            paths[name] = str(tmp_path / f"{name}.ckpt")
-            save_model(paths[name], model, weights and {"loss_weights": vars(weights)})
+        paths = {name: str(tmp_path / f"{name}.ckpt")
+                 for name in ("speech", "noise", "nsvae", "bundle")}
+        bundle = ModelBundle(cvae=VaeModel(257, 8, 4, "speech", rng=rng, dtype=np.float32),
+                             nvae=VaeModel(257, 8, 4, "noise", rng=rng, dtype=np.float32),
+                             nsvae=NsvaeModel(257, 8, 4, rng=rng, dtype=np.float32))
+        save_vae(paths["speech"], bundle.cvae, SETTINGS[2])
+        save_vae(paths["noise"], bundle.nvae, SETTINGS[4])
+        save_bundle(paths["bundle"], bundle)
+        # a lone NSVAE, a kind that no command writes
+        save_checkpoint(paths["nsvae"], dict(bundle.nsvae.config(), kind="nsvae"),
+                        {name: p.data for name, p in bundle.nsvae.named_parameters().items()})
         return paths
 
     @pytest.mark.parametrize("cvae, nvae, message", [
@@ -193,7 +219,9 @@ class TestTrainNsvaeInputs:
         ("noise", "noise", "--cvae: expected a speech VAE checkpoint, got role 'noise'"),
         ("speech", "nsvae", "--nvae: expected a noise VAE checkpoint, got kind 'nsvae'"),
         ("speech", "speech", "--nvae: expected a noise VAE checkpoint, got role 'speech'"),
-    ], ids=["cvae-nsvae", "cvae-noise", "nvae-nsvae", "nvae-speech"])
+        ("bundle", "noise", "--cvae: expected a speech VAE checkpoint, got kind 'bundle'"),
+        ("speech", "bundle", "--nvae: expected a noise VAE checkpoint, got kind 'bundle'"),
+    ], ids=["cvae-nsvae", "cvae-noise", "nvae-nsvae", "nvae-speech", "cvae-bundle", "nvae-bundle"])
     def test_wrong_checkpoint_names_flag(self, ckpts, cfg_file, tmp_path, capsys,
                                          cvae, nvae, message):
         assert run("train-nsvae", "--config", cfg_file, "--cvae", ckpts[cvae],
@@ -209,8 +237,7 @@ class TestTrainNsvaeInputs:
             reads.append(str(path))
             return load(path)
 
-        for module in (pvae.checkpoint, pvae.cli):
-            monkeypatch.setattr(module, "load_checkpoint", counting)
+        monkeypatch.setattr(pvae.checkpoint, "load_checkpoint", counting)
         out = tmp_path / "ns"
         assert run("train-nsvae", "--config", cfg_file, "--cvae", ckpts["speech"],
                    "--nvae", ckpts["noise"], "--out", str(out)) == 0

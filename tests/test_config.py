@@ -98,13 +98,48 @@ class TestTrainingValues:
             parse_config_text(f"{key} = {value}")
 
     def test_smallest_topology_and_data_values_accepted(self):
+        # a 0.1 s clip yields (1600 - 512) // 256 + 1 = 5 STFT frames
         cfg = parse_config_text("hidden_dim = 1\nlatent_dim = 1\nn_speech = 1\n"
-                                "n_noise = 1\nn_eval = 1\nduration_s = 0.1")
+                                "n_noise = 1\nn_eval = 1\nduration_s = 0.1\nsegment_len = 5")
         assert (cfg.hidden_dim, cfg.n_eval, cfg.duration_s) == (1, 1, 0.1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            parse_config_text("seed = -1")
+
+    def test_negative_seed_override_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            RunConfig().with_seed(-1)
 
     def test_patience_must_undercut_epochs(self):
         with pytest.raises(ValueError, match="^patience must be smaller than max_epochs"):
             parse_config_text("max_epochs = 10\npatience = 10")
+
+
+class TestSegmentFitsClip:
+    """With `data_dir` empty, one synthesized clip of `duration_s` must yield
+    at least `segment_len` STFT frames, (round(duration_s * 16000) - 512) // 256 + 1."""
+
+    @pytest.mark.parametrize("text", [
+        "duration_s = 0.7\nsegment_len = 42",
+        "duration_s = 0.7\ndata_dir = /data",          # WAV clips are not synthesized
+        "duration_s = 1e307"],
+        ids=["longest-segment", "data-dir", "huge-duration"])
+    def test_accepted(self, text):
+        parse_config_text(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("duration_s = 0.7", "segment_len must not exceed the 42 frames of one "
+                             "duration_s = 0.7 clip, got 64"),
+        ("duration_s = 0.7\nsegment_len = 43", "segment_len must not exceed the 42 frames "
+                                               "of one duration_s = 0.7 clip, got 43"),
+        ("duration_s = 0.01\nsegment_len = 1", "segment_len must not exceed the 0 frames "
+                                               "of one duration_s = 0.01 clip, got 1")],
+        ids=["default-segment", "one-frame-over", "clip-shorter-than-a-frame"])
+    def test_rejected_naming_both_keys(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_config_text(text)
+        assert str(info.value) == message
 
 
 class TestLossAndSnrValues:

@@ -32,10 +32,10 @@ class TestLossWeights:
 class TestMeanCovariance:
     def test_identical_rows_give_zero(self):
         mus = np.tile([1.5, -2.0, 0.3], (6, 1))
-        np.testing.assert_array_equal(diploss.mean_covariance(mus).data, np.zeros((3, 3)))
+        np.testing.assert_array_equal(diploss.mean_covariance(Tensor(mus)).data, np.zeros((3, 3)))
 
     def test_two_point_hand_case(self):
-        cov = diploss.mean_covariance(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        cov = diploss.mean_covariance(Tensor(np.array([[1.0, 0.0], [-1.0, 0.0]])))
         np.testing.assert_allclose(cov.data, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_matches_two_pass_oracle(self, rng):
@@ -49,28 +49,28 @@ class TestMeanCovariance:
             d = row - mean
             expect += np.outer(d, d)
         expect /= 40
-        np.testing.assert_allclose(diploss.mean_covariance(mus).data, expect, atol=1e-12)
+        np.testing.assert_allclose(diploss.mean_covariance(Tensor(mus)).data, expect, atol=1e-12)
 
     def test_rejects_single_row(self):
         with pytest.raises(ValueError, match=">= 2"):
-            diploss.mean_covariance(np.ones((1, 4)))
+            diploss.mean_covariance(Tensor(np.ones((1, 4))))
 
     def test_symmetric_nonneg_diag(self, rng):
-        cov = diploss.mean_covariance(rng.normal(size=(25, 6))).data
+        cov = diploss.mean_covariance(Tensor(rng.normal(size=(25, 6)))).data
         assert np.max(np.abs(cov - cov.T)) < 1e-9
         assert np.all(np.diag(cov) >= 0)
 
 
 class TestTotalCovariance:
     def test_identical_mu_unit_var_gives_identity(self):
-        q = GaussianParams(mu=np.tile([0.2, -1.0, 0.5], (8, 1)), var=np.ones((8, 3)))
+        q = GaussianParams(Tensor(np.tile([0.2, -1.0, 0.5], (8, 1))), Tensor(np.ones((8, 3))))
         np.testing.assert_allclose(diploss.total_covariance(q).data, np.eye(3), atol=1e-12)
 
     def test_var_floor_reduces_to_mean_covariance(self, rng):
         mus = rng.normal(size=(10, 4))
-        q = GaussianParams(mu=mus, var=np.full((10, 4), 1e-12))
+        q = GaussianParams(Tensor(mus), Tensor(np.full((10, 4), 1e-12)))
         np.testing.assert_allclose(diploss.total_covariance(q).data,
-                                   diploss.mean_covariance(mus).data, atol=1e-10)
+                                   diploss.mean_covariance(Tensor(mus)).data, atol=1e-10)
 
     def test_monte_carlo_pooled_covariance(self):
         # pooled z: pick a batch row uniformly, then z ~ N(mu_b, diag var_b)
@@ -78,7 +78,7 @@ class TestTotalCovariance:
         b, dim, n = 12, 4, 10**6
         mus = r.normal(size=(b, dim))
         vars_ = r.uniform(0.2, 2.0, size=(b, dim))
-        analytic = diploss.total_covariance(GaussianParams(mu=mus, var=vars_)).data
+        analytic = diploss.total_covariance(GaussianParams(Tensor(mus), Tensor(vars_))).data
         idx = r.integers(0, b, size=n)
         z = mus[idx] + np.sqrt(vars_[idx]) * r.standard_normal((n, dim))
         empirical = np.cov(z.T, bias=True)
@@ -87,8 +87,8 @@ class TestTotalCovariance:
 
     def test_positive_semidefinite(self, rng):
         for _ in range(10):
-            q = GaussianParams(mu=rng.normal(size=(6, 5)),
-                               var=rng.uniform(0.05, 3.0, size=(6, 5)))
+            q = GaussianParams(Tensor(rng.normal(size=(6, 5))),
+                               Tensor(rng.uniform(0.05, 3.0, size=(6, 5))))
             eig = np.linalg.eigvalsh(diploss.total_covariance(q).data)
             assert np.all(eig >= -1e-9)
 
@@ -96,19 +96,19 @@ class TestTotalCovariance:
 class TestDipRegularizer:
     def test_identity_gives_zero(self):
         w = LossWeights(1.0, 1e4, 1e2)
-        assert diploss.dip_regularizer(np.eye(5), w).item() == 0.0
+        assert diploss.dip_regularizer(Tensor(np.eye(5)), w).item() == 0.0
 
     def test_hand_case_5000(self):
         cov = np.array([[1.0, 0.5], [0.5, 1.0]])
         w = LossWeights(1.0, 1e4, 1e2)
-        assert diploss.dip_regularizer(cov, w).item() == pytest.approx(5000.0, rel=1e-12)
+        assert diploss.dip_regularizer(Tensor(cov), w).item() == pytest.approx(5000.0, rel=1e-12)
 
     def test_zero_iff_identity(self, rng):
         w = LossWeights(1.0, 1.0, 1.0)
         for _ in range(10):
             c = rng.normal(size=(4, 4))
             c = 0.5 * (c + c.T)
-            val = diploss.dip_regularizer(c, w).item()
+            val = diploss.dip_regularizer(Tensor(c), w).item()
             if np.allclose(c, np.eye(4)):
                 assert val == 0.0
             else:
@@ -120,14 +120,14 @@ class TestDipRegularizer:
         w = LossWeights(1.0, 3.0, 7.0)
         perm = rng.permutation(5)
         permuted = c[np.ix_(perm, perm)]
-        assert diploss.dip_regularizer(c, w).item() == pytest.approx(
-            diploss.dip_regularizer(permuted, w).item(), rel=1e-12)
+        assert diploss.dip_regularizer(Tensor(c), w).item() == pytest.approx(
+            diploss.dip_regularizer(Tensor(permuted), w).item(), rel=1e-12)
 
     def test_lambda_od_scaling_exact(self, rng):
         c = rng.normal(size=(4, 4))
         c = 0.5 * (c + c.T)
-        base = diploss.dip_regularizer(c, LossWeights(0.0, 1e4, 0.0)).item()
-        doubled = diploss.dip_regularizer(c, LossWeights(0.0, 2e4, 0.0)).item()
+        base = diploss.dip_regularizer(Tensor(c), LossWeights(0.0, 1e4, 0.0)).item()
+        doubled = diploss.dip_regularizer(Tensor(c), LossWeights(0.0, 2e4, 0.0)).item()
         assert doubled == 2.0 * base  # power-of-two scaling is exact in floats
 
     def test_gradient_check(self, rng):

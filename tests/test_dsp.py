@@ -185,30 +185,33 @@ class TestApplyMask:
     def test_equal_magnitudes_halve(self, rng):
         y = rng.normal(size=257) + 1j * rng.normal(size=257)
         m = np.full(257, 2.5)
-        np.testing.assert_allclose(dsp.apply_mask(m, m, y), 0.5 * y, rtol=1e-12)
+        np.testing.assert_allclose(dsp.wiener_mask(m, m) * y, 0.5 * y, rtol=1e-12)
 
     def test_three_to_one_ratio(self):
         y = np.full(4, 2.0 + 2.0j)
-        out = dsp.apply_mask(np.full(4, 3.0), np.full(4, 1.0), y)
+        out = dsp.wiener_mask(np.full(4, 3.0), np.full(4, 1.0)) * y
         np.testing.assert_allclose(out, 0.75 * y, rtol=1e-12)
 
     def test_mask_strictly_inside_unit_interval(self, rng):
         x = dsp.lps_to_magnitude(rng.normal(size=(257, 7)) * 4)
         v = dsp.lps_to_magnitude(rng.normal(size=(257, 7)) * 4)
-        mask = x / (x + v)
+        mask = dsp.wiener_mask(x, v)
         assert np.all(mask > 0) and np.all(mask < 1)
 
     def test_output_never_exceeds_input_magnitude(self, rng):
         y = rng.normal(size=(257, 5)) + 1j * rng.normal(size=(257, 5))
         x = dsp.lps_to_magnitude(rng.normal(size=(257, 5)))
         v = dsp.lps_to_magnitude(rng.normal(size=(257, 5)))
-        out = dsp.apply_mask(x, v, y)
+        out = dsp.wiener_mask(x, v) * y
         assert np.all(np.abs(out) <= np.abs(y))
 
     def test_nonpositive_magnitude_rejected(self):
-        y = np.ones(4, dtype=np.complex128)
         with pytest.raises(ValueError, match="positive"):
-            dsp.apply_mask(np.array([1.0, 0.0, 1, 1]), np.ones(4), y)
+            dsp.wiener_mask(np.array([1.0, 0.0, 1, 1]), np.ones(4))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^wiener_mask: shape mismatch \(4,\), \(5,\)$"):
+            dsp.wiener_mask(np.ones(4), np.ones(5))
 
 
 class TestWavIO:

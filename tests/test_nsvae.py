@@ -8,7 +8,7 @@ from pvae import autodiff as ad
 from pvae import nsvae as ns_mod
 from pvae.autodiff import Tensor
 from pvae.nsvae import NsvaeModel, kl_diag_gaussians, kl_diag_sum, permutation_loss
-from pvae.vae import GaussianParams, VaeModel
+from pvae.vae import VaeModel
 
 
 def tiny_nsvae(seed=42, input_dim=5, hidden_dim=4, latent_dim=3):
@@ -35,8 +35,8 @@ class TestEncode:
     def test_variances_strictly_positive(self, rng):
         ns = tiny_nsvae()
         qx, qv = ns.encode(rng.normal(size=(6, 5)) * 3)
-        assert np.all(qx.var_array > 0) and np.all(qv.var_array > 0)
-        assert qx.mu_array.shape == (6, 3)
+        assert np.all(qx.var.data > 0) and np.all(qv.var.data > 0)
+        assert qx.mu.data.shape == (6, 3)
 
     def test_zero_heads_give_standard_normal_pair(self, rng):
         ns = tiny_nsvae()
@@ -45,16 +45,16 @@ class TestEncode:
             layer.bias.data[:] = 0.0
         qx, qv = ns.encode(rng.normal(size=(4, 5)))
         for q in (qx, qv):
-            np.testing.assert_array_equal(q.mu_array, np.zeros((4, 3)))
-            np.testing.assert_array_equal(q.var_array, np.ones((4, 3)))
+            np.testing.assert_array_equal(q.mu.data, np.zeros((4, 3)))
+            np.testing.assert_array_equal(q.var.data, np.ones((4, 3)))
 
     def test_causality_prefix_bit_identical(self, rng):
         ns = tiny_nsvae()
         frames = rng.normal(size=(9, 5))
         full_x, full_v = ns.encode(frames)
         pre_x, pre_v = ns.encode(frames[:3])
-        assert pre_x.mu_array.tobytes() == full_x.mu_array[:3].tobytes()
-        assert pre_v.var_array.tobytes() == full_v.var_array[:3].tobytes()
+        assert pre_x.mu.data.tobytes() == full_x.mu.data[:3].tobytes()
+        assert pre_v.var.data.tobytes() == full_v.var.data[:3].tobytes()
 
     def test_no_decoder_exists(self):
         ns = tiny_nsvae()
@@ -97,30 +97,30 @@ class TestKlDiagGaussians:
     def test_identical_gives_zero(self, rng):
         mu = rng.normal(size=4)
         var = rng.uniform(0.5, 2.0, size=4)
-        q = GaussianParams(mu=mu, var=var)
-        assert kl_diag_gaussians(q, q) == 0.0
+        q = (mu, var)
+        assert kl_diag_gaussians(*q, *q) == 0.0
 
     def test_unit_mean_shift(self):
-        q1 = GaussianParams(mu=np.array([1.0]), var=np.array([1.0]))
-        q2 = GaussianParams(mu=np.array([0.0]), var=np.array([1.0]))
-        assert kl_diag_gaussians(q1, q2) == pytest.approx(0.5, rel=1e-12)
+        q1 = (np.array([1.0]), np.array([1.0]))
+        q2 = (np.array([0.0]), np.array([1.0]))
+        assert kl_diag_gaussians(*q1, *q2) == pytest.approx(0.5, rel=1e-12)
 
     def test_monte_carlo_log_ratio(self):
-        q1 = GaussianParams(mu=np.array([1.0]), var=np.array([1.0]))
-        q2 = GaussianParams(mu=np.array([0.0]), var=np.array([1.0]))
+        q1 = (np.array([1.0]), np.array([1.0]))
+        q2 = (np.array([0.0]), np.array([1.0]))
         r = np.random.default_rng(3)
         z = 1.0 + r.standard_normal(10**6)
         mc = float(np.mean(scipy.stats.norm.logpdf(z, 1.0, 1.0)
                            - scipy.stats.norm.logpdf(z, 0.0, 1.0)))
-        assert abs(kl_diag_gaussians(q1, q2) - mc) / 0.5 < 0.01
+        assert abs(kl_diag_gaussians(*q1, *q2) - mc) / 0.5 < 0.01
 
     def test_asymmetry_with_closed_forms(self):
         # equal means, var 1 vs 4: KL is 1/2[ln 4 - 3/4] forward and
         # 1/2[3 - ln 4] reverse; both cross-checked by Monte-Carlo below
-        q1 = GaussianParams(mu=np.array([0.0]), var=np.array([1.0]))
-        q2 = GaussianParams(mu=np.array([0.0]), var=np.array([4.0]))
-        fwd = kl_diag_gaussians(q1, q2)
-        rev = kl_diag_gaussians(q2, q1)
+        q1 = (np.array([0.0]), np.array([1.0]))
+        q2 = (np.array([0.0]), np.array([4.0]))
+        fwd = kl_diag_gaussians(*q1, *q2)
+        rev = kl_diag_gaussians(*q2, *q1)
         assert fwd == pytest.approx(0.5 * (np.log(4.0) - 0.75), rel=1e-12)
         assert rev == pytest.approx(0.5 * (3.0 - np.log(4.0)), rel=1e-12)
         assert fwd != rev
@@ -135,24 +135,23 @@ class TestKlDiagGaussians:
 
     def test_positive_for_distinct(self, rng):
         for _ in range(25):
-            q1 = GaussianParams(mu=rng.normal(size=3), var=rng.uniform(0.2, 3.0, size=3))
-            q2 = GaussianParams(mu=rng.normal(size=3), var=rng.uniform(0.2, 3.0, size=3))
-            if np.allclose(q1.mu_array, q2.mu_array) and np.allclose(q1.var_array, q2.var_array):
+            q1 = (rng.normal(size=3), rng.uniform(0.2, 3.0, size=3))
+            q2 = (rng.normal(size=3), rng.uniform(0.2, 3.0, size=3))
+            if np.allclose(q1[0], q2[0]) and np.allclose(q1[1], q2[1]):
                 continue
-            assert kl_diag_gaussians(q1, q2) > 0.0
+            assert kl_diag_gaussians(*q1, *q2) > 0.0
 
     def test_shape_mismatch_rejected(self):
-        q1 = GaussianParams(mu=np.zeros(3), var=np.ones(3))
-        q2 = GaussianParams(mu=np.zeros(4), var=np.ones(4))
+        q1 = (np.zeros(3), np.ones(3))
+        q2 = (np.zeros(4), np.ones(4))
         with pytest.raises(ValueError, match="shape"):
-            kl_diag_gaussians(q1, q2)
+            kl_diag_gaussians(*q1, *q2)
 
     def test_tensor_path_matches_scalar(self, rng):
         mu1, mu2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         v1, v2 = rng.uniform(0.3, 2.0, (4, 3)), rng.uniform(0.3, 2.0, (4, 3))
         total = kl_diag_sum(Tensor(mu1), Tensor(v1), Tensor(mu2), Tensor(v2)).item()
-        ref = sum(kl_diag_gaussians(GaussianParams(mu=mu1[i], var=v1[i]),
-                                    GaussianParams(mu=mu2[i], var=v2[i]))
+        ref = sum(kl_diag_gaussians(mu1[i], v1[i], mu2[i], v2[i])
                   for i in range(4))
         assert total == pytest.approx(ref, rel=1e-12)
 

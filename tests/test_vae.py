@@ -32,30 +32,16 @@ def zero_heads(model):
         layer.bias.data[:] = 0.0
 
 
-class TestGaussianParams:
-    def test_rejects_nonpositive_variance(self):
-        with pytest.raises(ValueError, match="positive"):
-            GaussianParams(mu=np.zeros(3), var=np.array([1.0, 0.0, 1.0]))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mu"):
-            GaussianParams(mu=np.zeros(3), var=np.ones(4))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="finite"):
-            GaussianParams(mu=np.array([np.nan]), var=np.ones(1))
-
-
 class TestReparameterize:
     def test_var_floor_collapses_to_mean(self, rng):
         mu = rng.normal(size=(4, 3))
-        q = GaussianParams(mu=mu, var=np.full((4, 3), vae.VAR_FLOOR))
+        q = GaussianParams(Tensor(mu), Tensor(np.full((4, 3), vae.VAR_FLOOR)))
         z = vae.reparameterize(q, np.random.default_rng(0))
         eps = np.random.default_rng(0).standard_normal(mu.shape)
         assert np.max(np.abs(z.data - mu)) <= np.sqrt(vae.VAR_FLOOR) * np.max(np.abs(eps))
 
     def test_seed_determinism(self):
-        q = GaussianParams(mu=np.ones((5, 2)), var=np.full((5, 2), 2.0))
+        q = GaussianParams(Tensor(np.ones((5, 2))), Tensor(np.full((5, 2), 2.0)))
         a = vae.reparameterize(q, np.random.default_rng(7))
         b = vae.reparameterize(q, np.random.default_rng(7))
         assert a.data.tobytes() == b.data.tobytes()
@@ -63,13 +49,13 @@ class TestReparameterize:
     def test_sample_reconstruction_identity(self, rng):
         mu = rng.normal(size=(3, 4))
         var = rng.uniform(0.5, 2.0, size=(3, 4))
-        z = vae.reparameterize(GaussianParams(mu=mu, var=var), np.random.default_rng(3))
+        z = vae.reparameterize(GaussianParams(Tensor(mu), Tensor(var)), np.random.default_rng(3))
         eps = np.random.default_rng(3).standard_normal(mu.shape)
         np.testing.assert_allclose(z.data, mu + np.sqrt(var) * eps, rtol=1e-12)
 
     def test_monte_carlo_moments(self):
         n = 10**6
-        q = GaussianParams(mu=np.full((n, 1), 1.0), var=np.full((n, 1), 4.0))
+        q = GaussianParams(Tensor(np.full((n, 1), 1.0)), Tensor(np.full((n, 1), 4.0)))
         z = vae.reparameterize(q, np.random.default_rng(11)).data.ravel()
         assert abs(z.mean() - 1.0) < 0.01
         assert abs(z.var() - 4.0) < 0.05
@@ -79,22 +65,22 @@ class TestEncode:
     def test_variance_strictly_positive(self, rng):
         m = tiny_model(rng)
         q = m.encode(rng.normal(size=(7, 6)) * 5)
-        assert np.all(q.var_array > 0)
+        assert np.all(q.var.data > 0)
 
     def test_zero_heads_give_standard_normal(self, rng):
         m = tiny_model(rng)
         zero_heads(m)
         q = m.encode(rng.normal(size=(4, 6)))
-        np.testing.assert_array_equal(q.mu_array, np.zeros((4, 3)))
-        np.testing.assert_array_equal(q.var_array, np.ones((4, 3)))
+        np.testing.assert_array_equal(q.mu.data, np.zeros((4, 3)))
+        np.testing.assert_array_equal(q.var.data, np.ones((4, 3)))
 
     def test_causality_prefix_bit_identical(self, rng):
         m = tiny_model(rng)
         frames = rng.normal(size=(10, 6))
         q_full = m.encode(frames)
         q_prefix = m.encode(frames[:4])
-        assert q_prefix.mu_array.tobytes() == q_full.mu_array[:4].tobytes()
-        assert q_prefix.var_array.tobytes() == q_full.var_array[:4].tobytes()
+        assert q_prefix.mu.data.tobytes() == q_full.mu.data[:4].tobytes()
+        assert q_prefix.var.data.tobytes() == q_full.var.data[:4].tobytes()
 
     def test_causality_at_full_width(self):
         # the width where batched BLAS kernels start reordering sums
@@ -103,7 +89,7 @@ class TestEncode:
         frames = rng.normal(size=(6, 257))
         q_full = m.encode(frames)
         q_prefix = m.encode(frames[:2])
-        assert q_prefix.mu_array.tobytes() == q_full.mu_array[:2].tobytes()
+        assert q_prefix.mu.data.tobytes() == q_full.mu.data[:2].tobytes()
 
     @pytest.mark.parametrize("model_cls", [VaeModel, NsvaeModel])
     def test_f_ordered_input_gives_same_bytes(self, model_cls):
@@ -119,8 +105,8 @@ class TestEncode:
             return q if isinstance(q, tuple) else (q,)
 
         for a, b in zip(posteriors(frames), posteriors(np.ascontiguousarray(frames))):
-            assert a.mu_array.tobytes() == b.mu_array.tobytes()
-            assert a.var_array.tobytes() == b.var_array.tobytes()
+            assert a.mu.data.tobytes() == b.mu.data.tobytes()
+            assert a.var.data.tobytes() == b.var.data.tobytes()
 
     def test_shape_validation(self, rng):
         with pytest.raises(ValueError, match="expected"):
@@ -139,15 +125,15 @@ class TestEncode:
 class TestDecode:
     def test_variance_strictly_positive(self, rng):
         m = tiny_model(rng)
-        p = m.decode(rng.normal(size=(5, 3)))
-        assert np.all(p.var_array > 0)
-        assert p.mu_array.shape == (5, 6)
+        p = m.decode(Tensor(rng.normal(size=(5, 3))))
+        assert np.all(p.var.data > 0)
+        assert p.mu.data.shape == (5, 6)
 
     def test_deterministic(self, rng):
         m = tiny_model(rng)
-        z = rng.normal(size=(5, 3))
+        z = Tensor(rng.normal(size=(5, 3)))
         a, b = m.decode(z), m.decode(z)
-        assert a.mu_array.tobytes() == b.mu_array.tobytes()
+        assert a.mu.data.tobytes() == b.mu.data.tobytes()
 
     def test_gradient_wrt_z(self, rng):
         m = tiny_model(rng)
@@ -167,7 +153,7 @@ class TestDecode:
         z = rng.normal(size=(4, 3))
         z[2] = 1e308
         with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match=r"^decode frame 2: "):
-            m.decode(z)
+            m.decode(Tensor(z))
 
 
 class TestSequenceOpsMatchPerFrameTape:
@@ -230,36 +216,33 @@ class TestNamedParameters:
 class TestGaussianLogLikelihood:
     def test_match_at_mean_unit_variance(self):
         s = np.linspace(-1, 1, 257)
-        p = GaussianParams(mu=s.copy(), var=np.ones(257))
         expect = -0.5 * 257 * np.log(2 * np.pi)  # = -236.167...
-        assert vae.gaussian_log_likelihood(s, p) == pytest.approx(expect, rel=1e-12)
+        assert vae.gaussian_log_likelihood(s, s.copy(), np.ones(257)) == pytest.approx(expect, rel=1e-12)
 
     def test_variance_one_over_2pi_gives_zero(self):
         s = np.zeros(257)
-        p = GaussianParams(mu=s.copy(), var=np.full(257, 1.0 / (2 * np.pi)))
-        assert vae.gaussian_log_likelihood(s, p) == pytest.approx(0.0, abs=1e-10)
+        var = np.full(257, 1.0 / (2 * np.pi))
+        assert vae.gaussian_log_likelihood(s, s.copy(), var) == pytest.approx(0.0, abs=1e-10)
 
     def test_against_scipy_oracle(self, rng):
         s = rng.normal(size=31)
         mu = rng.normal(size=31)
         var = rng.uniform(0.3, 3.0, size=31)
-        ours = vae.gaussian_log_likelihood(s, GaussianParams(mu=mu, var=var))
+        ours = vae.gaussian_log_likelihood(s, mu, var)
         oracle = float(np.sum(scipy.stats.norm.logpdf(s, loc=mu, scale=np.sqrt(var))))
         assert ours == pytest.approx(oracle, rel=1e-10)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            vae.gaussian_log_likelihood(np.zeros(3), GaussianParams(mu=np.zeros(4), var=np.ones(4)))
+            vae.gaussian_log_likelihood(np.zeros(3), np.zeros(4), np.ones(4))
 
 
 class TestKlToStandardNormal:
     def test_prior_gives_zero(self):
-        q = GaussianParams(mu=np.zeros(5), var=np.ones(5))
-        assert vae.kl_to_standard_normal(q) == 0.0
+        assert vae.kl_to_standard_normal(np.zeros(5), np.ones(5)) == 0.0
 
     def test_unit_mean_shift(self):
-        q = GaussianParams(mu=np.array([1.0]), var=np.array([1.0]))
-        assert vae.kl_to_standard_normal(q) == pytest.approx(0.5, rel=1e-12)
+        assert vae.kl_to_standard_normal(np.array([1.0]), np.array([1.0])) == pytest.approx(0.5, rel=1e-12)
 
     def test_monte_carlo_log_ratio(self):
         # E_q[log q(z) - log p(z)] over 10^6 draws
@@ -269,13 +252,12 @@ class TestKlToStandardNormal:
         log_q = scipy.stats.norm.logpdf(z, loc=mu, scale=np.sqrt(var))
         log_p = scipy.stats.norm.logpdf(z)
         mc = float(np.mean(log_q - log_p))
-        closed = vae.kl_to_standard_normal(GaussianParams(mu=np.array([mu]), var=np.array([var])))
+        closed = vae.kl_to_standard_normal(np.array([mu]), np.array([var]))
         assert abs(closed - mc) / closed < 0.01
 
     def test_nonnegative_on_random_draws(self, rng):
         for _ in range(50):
-            q = GaussianParams(mu=rng.normal(size=4), var=rng.uniform(0.1, 5.0, size=4))
-            assert vae.kl_to_standard_normal(q) >= 0.0
+            assert vae.kl_to_standard_normal(rng.normal(size=4), rng.uniform(0.1, 5.0, size=4)) >= 0.0
 
 
 class TestElboLoss:
@@ -285,12 +267,12 @@ class TestElboLoss:
         mu = rng.normal(size=(4, 6))
         var = rng.uniform(0.5, 2.0, size=(4, 6))
         nll_t = vae.gaussian_nll_sum(Tensor(s), Tensor(mu), Tensor(var)).item()
-        ref = -sum(vae.gaussian_log_likelihood(s[i], GaussianParams(mu=mu[i], var=var[i]))
+        ref = -sum(vae.gaussian_log_likelihood(s[i], mu[i], var[i])
                    for i in range(4))
         assert nll_t == pytest.approx(ref, rel=1e-12)
 
         kl_t = vae.kl_std_normal_sum(Tensor(mu), Tensor(var)).item()
-        ref_kl = sum(vae.kl_to_standard_normal(GaussianParams(mu=mu[i], var=var[i]))
+        ref_kl = sum(vae.kl_to_standard_normal(mu[i], var[i])
                      for i in range(4))
         assert kl_t == pytest.approx(ref_kl, rel=1e-12)
 
@@ -324,15 +306,15 @@ class TestElboLoss:
         # decoder p(s|z) = N(a z + b, 1), encoder q = N(mu, var) held fixed:
         # analytic ELBO = -1/2 log 2pi - 1/2[(s - a mu - b)^2 + a^2 var] - KL(q || N(0,1))
         mu, var, a, b, s = 0.7, 0.6, 1.3, -0.2, 0.9
-        q = GaussianParams(mu=np.array([mu]), var=np.array([var]))
+        q = (np.array([mu]), np.array([var]))
         analytic_ll = -0.5 * np.log(2 * np.pi) - 0.5 * ((s - a * mu - b) ** 2 + a * a * var)
-        analytic = analytic_ll - vae.kl_to_standard_normal(q)
+        analytic = analytic_ll - vae.kl_to_standard_normal(*q)
 
         r = np.random.default_rng(17)
         n = 200_000
         z = mu + np.sqrt(var) * r.standard_normal(n)
         ll = scipy.stats.norm.logpdf(s, loc=a * z + b, scale=1.0)
-        one_sample_mean = float(np.mean(ll)) - vae.kl_to_standard_normal(q)
+        one_sample_mean = float(np.mean(ll)) - vae.kl_to_standard_normal(*q)
         assert one_sample_mean == pytest.approx(analytic, abs=3e-3)
 
     def test_training_loss_trend_decreases(self, rng):
