@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,9 +79,10 @@ class Tensor:
 
     `data` is float32 or float64; `grad`, once materialized, always matches
     `data` in shape and dtype.  An array bound to `grad` is never mutated in
-    place: each accumulation rebinds `grad` (the sequence ops sum into a
-    buffer of their own and bind it once), so aliasing a propagated array
-    is safe.
+    place: each accumulation rebinds `grad` (the sequence ops compute their
+    per-frame weight terms as stacked products, a block of at most
+    `_BLOCK_BYTES` at a time, add them in frame order into a buffer of
+    their own and bind it once), so aliasing a propagated array is safe.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -283,8 +284,15 @@ def broadcast_rows(v: Tensor, n: int) -> Tensor:
 # (F, B) @ (B, H) product, added frame by frame), so training takes the
 # same steps to the last bit: one (F, T*B) @ (T*B, H) product would round
 # differently, and training amplifies that into different models.
-# `_sum_frames` does those adds in place, in one buffer the op owns, and
-# binds the parameter's `grad` once per op.
+# `_sum_weight_terms` computes a block of frames' terms lhs[t].T @ d[t] as
+# one stacked product (the BLAS call a frame-by-frame loop makes, frame by
+# frame) and adds them one by one, in frame order, into a buffer the op
+# owns. `_BLOCK_BYTES` bounds a block: all 32 frames of a 64-wide layer fit
+# in one, a 512 x 512 float32 weight takes four, and no (T, in, out) stack
+# of every frame is built. `_sum_bias_terms` adds the per-frame batch sums
+# with `np.add.accumulate`, which is sequential; `np.add.reduce` over the
+# frames would sum pairwise when a row has one element. Each binds the
+# parameter's `grad` once per op.
 
 def _frames(x: Tensor, n_batch: int, op: str) -> np.ndarray:
     """The C-contiguous (T, B, F) view of a time-major stack."""
@@ -303,31 +311,42 @@ def _check_params(op: str, x: Tensor, params: Sequence[Tensor],
             raise ValueError(f"{op}: dtype mismatch {x.data.dtype} vs {p.data.dtype}")
 
 
-def _sum_frames(p: Tensor, frames: Iterable[int],
-                term: Callable[[int, np.ndarray], None]) -> None:
-    """Add the per-frame gradient terms of parameter `p` in the order of
-    `frames`: ((G + g_first) + g_second) + ..., G being `p.grad` if set.
+_BLOCK_BYTES = 4 << 20      # bytes of stacked weight terms computed at once
 
-    `term(t, out)` writes frame t's term into `out`. The sum grows in a
-    buffer this call owns, a copy of G when there is one, so no array that
-    `grad` ever pointed to is written; `grad` is bound once at the end.
+
+def _sum_weight_terms(p: Tensor, lhs: np.ndarray, d: np.ndarray) -> None:
+    """Add the per-frame terms lhs[t].T @ d[t] of weight `p` in the order of
+    the frames of the (T, B, .) stacks: ((G + g_0) + g_1) + ..., G being
+    `p.grad` if set; reversed views give last-frame-first order.
+
+    The sum grows in a buffer this call owns, a copy of G when there is one,
+    so no array that `grad` ever pointed to is written; `grad` is bound once
+    at the end.
     """
     if not p.requires_grad:
         return
-    frames = iter(frames)
-    if p.grad is None:
-        first = next(frames, None)
-        if first is None:
-            return
-        acc = np.empty(p.data.shape, p.data.dtype)
-        term(first, acc)
-    else:
-        acc = p.grad.copy()
-    buf = np.empty(p.data.shape, p.data.dtype)
-    for t in frames:
-        term(t, buf)
-        np.add(acc, buf, out=acc)
+    n_frames = len(d)
+    per_block = max(1, _BLOCK_BYTES // (p.data.size * p.data.itemsize))
+    terms = np.empty((min(per_block, n_frames),) + p.data.shape, p.data.dtype)
+    acc = None if p.grad is None else p.grad.copy()
+    for lo in range(0, n_frames, per_block):
+        hi = min(lo + per_block, n_frames)
+        block = np.matmul(lhs[lo:hi].transpose(0, 2, 1), d[lo:hi], out=terms[:hi - lo])
+        for term in block:
+            acc = term.copy() if acc is None else np.add(acc, term, out=acc)
     p.grad = acc
+
+
+def _sum_bias_terms(p: Tensor, d: np.ndarray) -> None:
+    """Add the per-frame batch sums of the (T, B, H) stack `d` to bias `p`
+    in frame order, after `p.grad` if set, as one sequential accumulate."""
+    if not p.requires_grad:
+        return
+    rows = np.sum(d, axis=1)
+    if p.grad is not None:
+        rows = np.concatenate((p.grad[None], rows))
+    if len(rows):
+        p.grad = np.add.accumulate(rows)[-1]
 
 
 def linear_seq(x: Tensor, weight: Tensor, bias: Tensor, n_batch: int,
@@ -357,11 +376,9 @@ def linear_seq(x: Tensor, weight: Tensor, bias: Tensor, n_batch: int,
         g3 = g.reshape(x3.shape[:2] + (n_out,))
         if x.requires_grad:
             _accumulate(x, np.matmul(g3, wd.T).reshape(-1, n_in))
-        frames = range(len(x3))
-        if last_frame_first:
-            frames = frames[::-1]
-        _sum_frames(weight, frames, lambda t, out: np.matmul(x3[t].T, g3[t], out=out))
-        _sum_frames(bias, frames, lambda t, out: np.sum(g3[t], axis=0, out=out))
+        xs, gs = (x3[::-1], g3[::-1]) if last_frame_first else (x3, g3)
+        _sum_weight_terms(weight, xs, gs)
+        _sum_bias_terms(bias, gs)
 
     return _result(out, (x, weight, bias), back, "linear_seq", scanned=relu)
 
@@ -389,28 +406,31 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
     n_frames, _, n_in = x3.shape
     _check_params("gru_seq", x, params, [(n_in, H)] * 3 + [(H, H)] * 3 + [(H,)] * 3)
 
-    # input projections, turned into the gate pre-activations frame by frame
-    a_r, a_z, a_h = (np.matmul(x3, w.data) for w in (W_r, W_z, W_h))
+    # input projections, turned into the gate pre-activations frame by frame;
+    # a_rz[t] holds frame t's r and z halves, so one sigmoid call covers both
+    a_rz = np.stack([np.matmul(x3, w.data) for w in (W_r, W_z)], axis=1)
+    a_h = np.matmul(x3, W_h.data)
     hs = np.empty((n_frames + 1, n_batch, H), dtype=x3.dtype)   # hs[t] = h_{t-1}
-    rs, zs, cands = (np.empty_like(a_r) for _ in range(3))      # r, z, h~
+    gates, cands = np.empty_like(a_rz), np.empty_like(a_h)      # (r, z), h~
+    rs, zs = gates[:, 0], gates[:, 1]
     hs[0] = h0.data
     for t in range(n_frames):
-        h = hs[t]
-        for a, U, b, gate in ((a_r, U_r, b_r, rs), (a_z, U_z, b_z, zs)):
-            a[t] += h @ U.data
-            a[t] += b.data
-            gate[t] = _sigmoid(a[t])
+        h, a = hs[t], a_rz[t]
+        for half, U, b in ((0, U_r, b_r), (1, U_z, b_z)):
+            a[half] += h @ U.data
+            a[half] += b.data
+        gates[t] = _sigmoid(a)
         a_h[t] += (rs[t] * h) @ U_h.data
         a_h[t] += b_h.data
         cands[t] = np.tanh(a_h[t])
         hs[t + 1] = (1.0 - zs[t]) * h + zs[t] * cands[t]
     # sigmoid and tanh would hide an overflowed product; h stays finite otherwise
-    for a in (a_r, a_z, a_h):
+    for a in (a_rz[:, 0], a_rz[:, 1], a_h):
         _validate(a.reshape(-1, H), "gru_seq")
 
     def back(g):
         g3 = g.reshape(n_frames, n_batch, H)
-        d_r, d_z, d_h = (np.empty_like(rs) for _ in range(3))   # d pre-activations
+        d_r, d_z, d_h = (np.empty_like(a_h) for _ in range(3))  # d pre-activations
         to_prev = ()                   # frame t+1's terms of dL/dh_t
         # each line repeats the per-frame graph's ops in its order (dh*c +
         # -(dh*h), not dh*(c-h)), so the gradients keep their bytes
@@ -427,13 +447,13 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
             to_prev = (dh * (1.0 - z), d_z[t] @ U_z.data.T, d_rh * r, d_r[t] @ U_r.data.T)
         # the weight terms, each parameter in one pass from the last frame
         # down; in the per-frame graph, b_h's arrive from frame 0 up
-        rh = rs * hs[:-1]
+        h_prev = hs[:-1]
+        rh = rs * h_prev
         for p, lhs, d in ((W_r, x3, d_r), (W_z, x3, d_z), (W_h, x3, d_h),
-                          (U_r, hs, d_r), (U_z, hs, d_z), (U_h, rh, d_h)):
-            _sum_frames(p, last_first, lambda t, out: np.matmul(lhs[t].T, d[t], out=out))
-        for p, d, frames in ((b_r, d_r, last_first), (b_z, d_z, last_first),
-                             (b_h, d_h, range(n_frames))):
-            _sum_frames(p, frames, lambda t, out: np.sum(d[t], axis=0, out=out))
+                          (U_r, h_prev, d_r), (U_z, h_prev, d_z), (U_h, rh, d_h)):
+            _sum_weight_terms(p, lhs[::-1], d[::-1])
+        for p, d in ((b_r, d_r[::-1]), (b_z, d_z[::-1]), (b_h, d_h)):
+            _sum_bias_terms(p, d)
         for term in to_prev:
             _accumulate(h0, term)
         if x.requires_grad:

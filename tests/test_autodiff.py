@@ -195,6 +195,22 @@ class TestBlasFacts:
                 f"BLAS: a stacked ({x.shape}) @ {w.shape} matmul no longer equals the "
                 f"per-frame products bit for bit (frame {n})")
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_batch", [1, 16])
+    @pytest.mark.parametrize("n_in,n_out", [(4, 8), (64, 64), (257, 512), (512, 512)])
+    def test_stacked_weight_terms_equal_per_frame_products(self, dtype, n_batch, n_in, n_out):
+        # the weight-gradient terms x[t].T @ g[t], stacked over frames in
+        # either order, as the sequence ops' backward passes compute them
+        r = np.random.default_rng(n_in + n_out + n_batch)
+        x = r.normal(size=(9, n_batch, n_in)).astype(dtype)
+        g = r.normal(size=(9, n_batch, n_out)).astype(dtype)
+        for xs, gs, order in ((x, g, "first-frame-first"), (x[::-1], g[::-1], "last-frame-first")):
+            stacked = np.matmul(xs.transpose(0, 2, 1), gs)
+            for n in range(9):
+                assert stacked[n].tobytes() == (xs[n].T @ gs[n]).tobytes(), (
+                    f"BLAS: a stacked transposed {x.shape} @ {g.shape} matmul ({order}) no "
+                    f"longer equals the per-frame products bit for bit (frame {n})")
+
 
 class TestBackwardSemantics:
     def test_sum_grad_all_ones(self, rng):

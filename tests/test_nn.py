@@ -161,40 +161,50 @@ def _jitter_biases(layer, r):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n_batch", [1, 16])
-@pytest.mark.parametrize("n_in,hidden", [(4, 8), (257, 64)])
+@pytest.mark.parametrize("n_in,hidden", [(4, 8), (257, 64), (6, 1)])
 class TestSequenceOpsBitwise:
     """A whole time-major stack gives the bytes of T single-frame calls and
     of the per-frame tape composition the sequence ops replaced."""
 
     T = 7
 
-    def frames(self, x, n_batch):
-        return [Tensor(x[t * n_batch:(t + 1) * n_batch]) for t in range(self.T)]
+    def frames(self, x, n_batch, n_frames):
+        return [Tensor(x[t * n_batch:(t + 1) * n_batch]) for t in range(n_frames)]
 
-    def test_gru_seq_equals_chained_steps(self, dtype, n_batch, n_in, hidden):
+    def check_gru(self, dtype, n_batch, n_in, hidden, n_frames):
         r = np.random.default_rng(n_in + n_batch)
         gru = nn.GruLayer(n_in, hidden, rng=r, dtype=dtype)
         _jitter_biases(gru, r)
-        x = r.normal(size=(self.T * n_batch, n_in)).astype(dtype)
+        x = r.normal(size=(n_frames * n_batch, n_in)).astype(dtype)
         out = gru(Tensor(x), n_batch).data
         h = tape = gru.initial_state(n_batch)
-        for t, x_t in enumerate(self.frames(x, n_batch)):
+        for t, x_t in enumerate(self.frames(x, n_batch, n_frames)):
             h = gru.step(x_t, h)
             tape = tape_reference.gru_step(gru, x_t, tape)
             rows = out[t * n_batch:(t + 1) * n_batch]
             assert rows.tobytes() == h.data.tobytes() == tape.data.tobytes(), f"frame {t}"
 
-    def test_linear_seq_equals_per_frame_layer(self, dtype, n_batch, n_in, hidden):
+    def check_linear(self, dtype, n_batch, n_in, hidden, n_frames):
         r = np.random.default_rng(n_in + n_batch)
         for activation in ("relu", "none"):
             layer = nn.LinearLayer(n_in, hidden, activation, rng=r, dtype=dtype)
             _jitter_biases(layer, r)
-            x = r.normal(size=(self.T * n_batch, n_in)).astype(dtype)
+            x = r.normal(size=(n_frames * n_batch, n_in)).astype(dtype)
             out = layer(Tensor(x), n_batch).data
-            for t, x_t in enumerate(self.frames(x, n_batch)):
+            for t, x_t in enumerate(self.frames(x, n_batch, n_frames)):
                 rows = out[t * n_batch:(t + 1) * n_batch]
                 assert rows.tobytes() == layer(x_t).data.tobytes() == \
                     tape_reference.linear(layer, x_t).data.tobytes(), f"{activation} frame {t}"
+
+    def test_gru_seq_equals_chained_steps(self, dtype, n_batch, n_in, hidden):
+        self.check_gru(dtype, n_batch, n_in, hidden, self.T)
+
+    def test_linear_seq_equals_per_frame_layer(self, dtype, n_batch, n_in, hidden):
+        self.check_linear(dtype, n_batch, n_in, hidden, self.T)
+
+    def test_one_frame_stack(self, dtype, n_batch, n_in, hidden):
+        self.check_gru(dtype, n_batch, n_in, hidden, 1)
+        self.check_linear(dtype, n_batch, n_in, hidden, 1)
 
 
 class TestClipGradNorm:
@@ -268,17 +278,18 @@ class TestGradientBuffers:
     and must continue the per-frame order from a copy of it; no array that
     a `grad` pointed to is ever written."""
 
-    T, n_in, hidden = 5, 6, 8
+    dims = (5, 6, 8)                   # frames, input width, output width
 
-    def setup_layers(self, dtype, n_batch):
+    def setup_layers(self, dtype, n_batch, dims=dims):
+        n_frames, n_in, hidden = dims
         r = np.random.default_rng(7 + n_batch)
-        linear = nn.LinearLayer(self.n_in, self.hidden, "relu", rng=r, dtype=dtype)
-        gru = nn.GruLayer(self.n_in, self.hidden, rng=r, dtype=dtype)
+        linear = nn.LinearLayer(n_in, hidden, "relu", rng=r, dtype=dtype)
+        gru = nn.GruLayer(n_in, hidden, rng=r, dtype=dtype)
         _jitter_biases(linear, r)
         _jitter_biases(gru, r)
-        rows = self.T * n_batch
-        xs = [Tensor(r.normal(size=(rows, self.n_in)).astype(dtype)) for _ in range(2)]
-        weights = [Tensor(r.normal(size=(rows, self.hidden)).astype(dtype)) for _ in range(2)]
+        rows = n_frames * n_batch
+        xs = [Tensor(r.normal(size=(rows, n_in)).astype(dtype)) for _ in range(2)]
+        weights = [Tensor(r.normal(size=(rows, hidden)).astype(dtype)) for _ in range(2)]
         return linear, gru, xs, weights
 
     def sequence_loss(self, layer, xs, weights, n_batch):
@@ -287,7 +298,8 @@ class TestGradientBuffers:
 
     def tape_loss(self, layer, xs, weights, n_batch):
         def call(x):
-            frames = [ad.slice_rows(x, t * n_batch, (t + 1) * n_batch) for t in range(self.T)]
+            n_frames = x.data.shape[0] // n_batch
+            frames = [ad.slice_rows(x, t * n_batch, (t + 1) * n_batch) for t in range(n_frames)]
             if isinstance(layer, nn.GruLayer):
                 outs, h = [], layer.initial_state(n_batch)
                 for x_t in frames:
@@ -299,19 +311,40 @@ class TestGradientBuffers:
         a, b = (ad.tsum(ad.mul(call(x), w)) for x, w in zip(xs, weights))
         return ad.add(a, b)
 
-    def grads(self, layer, loss):
-        for p in layer.parameters():
-            p.grad = None
+    def grads(self, layer, loss, held=None):
+        # `held`: arrays the parameters' grads start from, as if an earlier
+        # backward pass had set them
+        for i, p in enumerate(layer.parameters()):
+            p.grad = None if held is None else held[i].copy()
         ad.backward(loss)
         return [p.grad.tobytes() for p in layer.parameters()]
+
+    def mismatches(self, layer, xs, weights, n_batch, held=None):
+        got = self.grads(layer, self.sequence_loss(layer, xs, weights, n_batch), held)
+        expect = self.grads(layer, self.tape_loss(layer, xs, weights, n_batch), held)
+        names = list(layer.named_parameters())
+        return [n for n, g, e in zip(names, got, expect) if g != e]
 
     def test_two_calls_match_per_frame_tape(self, dtype, n_batch):
         linear, gru, xs, weights = self.setup_layers(dtype, n_batch)
         for layer in (linear, gru):
-            got = self.grads(layer, self.sequence_loss(layer, xs, weights, n_batch))
-            expect = self.grads(layer, self.tape_loss(layer, xs, weights, n_batch))
-            names = list(layer.named_parameters())
-            assert [n for n, g, e in zip(names, got, expect) if g != e] == []
+            assert self.mismatches(layer, xs, weights, n_batch) == []
+
+    @pytest.mark.parametrize("dims", [(9, 6, 1), (1, 6, 8)], ids=["width-one", "one-frame"])
+    def test_edge_shapes_match_per_frame_tape(self, dtype, n_batch, dims):
+        # width one: each frame's bias term is a sum over a contiguous batch
+        # column, and over frames the sum must stay sequential, not pairwise
+        linear, gru, xs, weights = self.setup_layers(dtype, n_batch, dims)
+        for layer in (linear, gru):
+            assert self.mismatches(layer, xs, weights, n_batch) == []
+
+    def test_wide_gru_blocks_match_per_frame_tape(self, dtype, n_batch):
+        # a 512 x 512 U term takes 1 or 2 MB, so 9 frames span several
+        # blocks of stacked terms; every grad starts out set
+        _, gru, xs, weights = self.setup_layers(dtype, n_batch, (9, 6, 512))
+        r = np.random.default_rng(11)
+        held = [r.normal(size=p.data.shape).astype(dtype) for p in gru.parameters()]
+        assert self.mismatches(gru, xs, weights, n_batch, held) == []
 
     def test_held_and_shared_grads_never_written(self, dtype, n_batch):
         linear, gru, xs, weights = self.setup_layers(dtype, n_batch)
