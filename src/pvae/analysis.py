@@ -32,20 +32,22 @@ def si_snr(estimate, reference) -> float:
     Both signals are zero-meaned, the estimate is projected onto the
     reference, and the projection/residual power ratio is returned. Zero
     residual energy maps to a +150 dB sentinel (and zero projection energy
-    to -150 dB) so comparisons stay finite.
+    to -150 dB) so comparisons stay finite. The energies are `np.sum` of
+    products, not `np.dot`: BLAS splits a long dot product across its
+    threads, which would make the bytes depend on the thread count.
     """
     e, r = _samples(estimate), _samples(reference)
     if e.shape != r.shape:
         raise ValueError(f"length mismatch: {e.shape} vs {r.shape}")
     r = r - np.mean(r)
-    rr = float(np.dot(r, r))
+    rr = float(np.sum(r * r))
     if rr == 0.0:
         raise ValueError("reference has zero energy")
     e = e - np.mean(e)
-    s_t = (np.dot(e, r) / rr) * r
+    s_t = (np.sum(e * r) / rr) * r
     err = e - s_t
-    p_t = float(np.dot(s_t, s_t))
-    p_e = float(np.dot(err, err))
+    p_t = float(np.sum(s_t * s_t))
+    p_e = float(np.sum(err * err))
     if p_e == 0.0:
         return SI_SNR_SENTINEL_DB
     if p_t == 0.0:
@@ -97,7 +99,7 @@ def separation_stats(speech, noise) -> dict:
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dim mismatch: {a.shape[1]} vs {b.shape[1]}")
     ca, cb = a.mean(axis=0), b.mean(axis=0)
-    distance = float(np.linalg.norm(ca - cb))
+    distance = float(np.sqrt(np.sum((ca - cb) ** 2)))
     spread_a = float(np.sqrt(np.mean(np.sum((a - ca) ** 2, axis=1))))
     spread_b = float(np.sqrt(np.mean(np.sum((b - cb) ** 2, axis=1))))
     spread = 0.5 * (spread_a + spread_b)
