@@ -16,6 +16,8 @@ from dataclasses import dataclass, fields, replace
 from .diploss import LossWeights
 from .dsp import FRAME_LEN, HOP, SAMPLE_RATE
 
+MAX_SAMPLES = 2.0 ** 62        # a clip's sample count stays an int64 well clear of overflow
+
 
 @dataclass
 class RunConfig:
@@ -55,9 +57,12 @@ class RunConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
+        if not self.duration_s * SAMPLE_RATE < MAX_SAMPLES:
+            raise ValueError(f"duration_s must give fewer than 2**62 samples at {SAMPLE_RATE} Hz, "
+                             f"got {self.duration_s}")
         if not self.data_dir:
-            # STFT frames of one synthesized clip; the cap keeps round() finite
-            samples = round(min(self.duration_s * SAMPLE_RATE, 2.0 ** 62))
+            # STFT frames of one synthesized clip
+            samples = round(self.duration_s * SAMPLE_RATE)
             frames = max((samples - FRAME_LEN) // HOP + 1, 0)
             if self.segment_len > frames:
                 raise ValueError(f"segment_len must not exceed the {frames} frames of one "

@@ -104,6 +104,16 @@ class TestExitCodes:
                                            "of one duration_s = 0.7 clip, got 64\n")
         assert not out.exists()
 
+    def test_overflowing_duration_rejected_before_manifest(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(MICRO_CFG.replace("duration_s = 0.7", "duration_s = 1e307")
+                       .replace("n_speech = 3", "n_speech = 1").replace("n_noise = 3", "n_noise = 1"))
+        out = tmp_path / "data"
+        assert run("synth-data", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == ("error: duration_s must give fewer than 2**62 "
+                                           "samples at 16000 Hz, got 1e+307\n")
+        assert not out.exists()
+
 
 class TestSynthData:
     def test_writes_wavs_and_manifest(self, cfg_file, tmp_path):

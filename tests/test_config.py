@@ -123,10 +123,25 @@ class TestSegmentFitsClip:
     @pytest.mark.parametrize("text", [
         "duration_s = 0.7\nsegment_len = 42",
         "duration_s = 0.7\ndata_dir = /data",          # WAV clips are not synthesized
-        "duration_s = 1e307"],
-        ids=["longest-segment", "data-dir", "huge-duration"])
+        "duration_s = 2.8e14"],                          # 4.48e18 samples, under 2**62
+        ids=["longest-segment", "data-dir", "under-sample-cap"])
     def test_accepted(self, text):
         parse_config_text(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("duration_s = 1e307", "duration_s must give fewer than 2**62 samples at 16000 Hz, "
+                               "got 1e+307"),
+        ("duration_s = 2.9e14", "duration_s must give fewer than 2**62 samples at 16000 Hz, "
+                                "got 290000000000000.0"),
+        ("duration_s = 1e307\ndata_dir = /data", "duration_s must give fewer than 2**62 "
+                                                 "samples at 16000 Hz, got 1e+307")],
+        ids=["huge-duration", "over-sample-cap", "data-dir"])
+    def test_overflowing_duration_rejected(self, text, message):
+        # the sample count round(duration_s * 16000) must fit, even when the
+        # clips come from data_dir: evaluation still synthesizes its clips
+        with pytest.raises(ValueError) as info:
+            parse_config_text(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("text, message", [
         ("duration_s = 0.7", "segment_len must not exceed the 42 frames of one "
