@@ -9,11 +9,11 @@ from `np.linalg.eigh`) used only for visual export.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import new_file, write_csv
 from .dsp import Waveform, lps, stft
 
 SI_SNR_SENTINEL_DB = 150.0
@@ -163,13 +163,9 @@ SVG_SIZE = 480                  # px, width and height of the latent scatter
 
 
 def write_latent_csv(path, clouds: list[LatentCloud], pca: PcaModel) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "label", "pc1", "pc2"])
-        for cloud in clouds:
-            proj = pca_transform(pca, cloud)
-            for i, (p1, p2) in enumerate(proj):
-                writer.writerow([i, cloud.label, f"{p1:.6f}", f"{p2:.6f}"])
+    write_csv(path, ["frame", "label", "pc1", "pc2"],
+              ([i, cloud.label, f"{p1:.6f}", f"{p2:.6f}"] for cloud in clouds
+               for i, (p1, p2) in enumerate(pca_transform(pca, cloud))))
 
 
 def write_latent_svg(path, clouds: list[LatentCloud], pca: PcaModel) -> None:
@@ -211,7 +207,7 @@ def write_latent_svg(path, clouds: list[LatentCloud], pca: PcaModel) -> None:
         parts.append(f'<text x="{pad + 22}" y="{y}" font-family="sans-serif" '
                      f'font-size="12">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with new_file(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -219,9 +215,5 @@ def write_metrics_csv(path, rows: list[dict]) -> None:
     """rows carry clip_id plus noisy/enhanced SI-SNR and LSD values."""
     cols = ["clip_id", "si_snr_noisy", "si_snr_enhanced", "lsd_noisy",
             "lsd_enhanced"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([row["clip_id"]] +
-                            [f"{row[c]:.6f}" for c in cols[1:]])
+    write_csv(path, cols, ([row["clip_id"]] + [f"{row[c]:.6f}" for c in cols[1:]]
+                           for row in rows))

@@ -571,14 +571,9 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     shape = a.data.shape
 
-    if axis is None:
-        def back(g):
-            _accumulate(a, np.broadcast_to(g, shape).copy())
-
-        return _result(np.sum(a.data), (a,), back, "sum")
-
     def back(g):
-        _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), shape).copy())
+        g = g if axis is None else np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, shape).copy())
 
     return _result(np.sum(a.data, axis=axis), (a,), back, "sum")
 
@@ -587,14 +582,9 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
     shape = a.data.shape
     count = a.data.size if axis is None else shape[axis]
 
-    if axis is None:
-        def back(g):
-            _accumulate(a, np.broadcast_to(g / count, shape).copy())
-
-        return _result(np.mean(a.data), (a,), back, "mean")
-
     def back(g):
-        _accumulate(a, np.broadcast_to(np.expand_dims(g / count, axis), shape).copy())
+        g = g / count if axis is None else np.expand_dims(g / count, axis)
+        _accumulate(a, np.broadcast_to(g, shape).copy())
 
     return _result(np.mean(a.data, axis=axis), (a,), back, "mean")
 

@@ -38,7 +38,7 @@ import zlib
 
 import numpy as np
 
-from . import CHECKPOINT_FORMAT_VERSION
+from . import CHECKPOINT_FORMAT_VERSION, new_file
 from .diploss import LossWeights
 from .vae import FrameModel, VaeModel
 
@@ -56,7 +56,7 @@ class WrongModelError(CheckpointError):
 
 def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
     cfg = json.dumps(config, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with new_file(path, "wb") as fh:
         crc = 0
 
         def write(part) -> None:

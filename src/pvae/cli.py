@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import CHECKPOINT_FORMAT_VERSION, __version__
+from . import CHECKPOINT_FORMAT_VERSION, __version__, new_file
 from .analysis import (LatentCloud, log_spectral_distance, pca_fit,
                        separation_stats, si_snr, write_latent_csv,
                        write_latent_svg, write_metrics_csv)
@@ -92,7 +92,7 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
+    with new_file(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -342,7 +342,7 @@ def write_comparison_csv(path, rows: list[dict]) -> None:
     cols = ["setting", "beta", "lambda_od", "lambda_d", "si_snr_noisy",
             "si_snr_enhanced", "si_snr_improvement", "lsd_enhanced",
             "separation_ratio"]
-    with open(path, "w", newline="") as fh:
+    with new_file(path) as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(",".join(

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import new_file
+
 SAMPLE_RATE = 16000
 FRAME_LEN = 512
 HOP = 256
@@ -183,7 +185,7 @@ def load_wav(path) -> Waveform:
 def save_wav(path, wav: Waveform) -> None:
     """Write 16-bit mono PCM; samples are clipped to [-1, 1) before scaling."""
     ints = np.clip(np.round(wav.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as writer:
+    with new_file(path, "wb") as fh, wave.open(fh, "wb") as writer:
         writer.setnchannels(1)
         writer.setsampwidth(2)
         writer.setframerate(SAMPLE_RATE)

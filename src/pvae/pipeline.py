@@ -11,12 +11,11 @@ the ablation varies per setting.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import CHECKPOINT_FORMAT_VERSION, autodiff as ad
+from . import CHECKPOINT_FORMAT_VERSION, autodiff as ad, write_csv
 from .checkpoint import (MODEL_DTYPE, CheckpointError, load_checkpoint, load_parameters,
                          new_model, save_checkpoint, stored_weights)
 from .config import RunConfig
@@ -248,12 +247,8 @@ def enhance(bundle: ModelBundle, noisy: Waveform,
 # ---------------------------------------------------------------------------
 
 def write_training_log(path, log) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for epoch, train_loss, val_loss in log:
-            writer.writerow([epoch, repr(float(train_loss)),
-                             repr(float(val_loss))])
+    write_csv(path, ["epoch", "train_loss", "val_loss"],
+              ([epoch, repr(float(train)), repr(float(val))] for epoch, train, val in log))
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:

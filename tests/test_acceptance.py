@@ -16,7 +16,7 @@ import scipy.stats
 from pvae import autodiff as ad
 from pvae import nn
 from pvae import vae as vae_mod
-from pvae import cli
+from pvae import cli, new_file
 from pvae.analysis import si_snr
 from pvae.autodiff import Tensor
 from pvae.checkpoint import CheckpointError, load_checkpoint, load_vae, save_checkpoint, save_vae
@@ -447,7 +447,8 @@ def test_criterion_8_checkpoints(tmp_path):
     for i in range(len(blob)):
         corrupted = bytearray(blob)
         corrupted[i] ^= 0xFF
-        bad.write_bytes(corrupted)
+        with new_file(bad, "wb") as fh:
+            fh.write(corrupted)
         try:
             load_checkpoint(bad)
             undetected += 1

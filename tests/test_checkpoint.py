@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pvae.cli
-from pvae import CHECKPOINT_FORMAT_VERSION
+from pvae import CHECKPOINT_FORMAT_VERSION, new_file
 from pvae.checkpoint import CheckpointError, load_checkpoint, load_vae, save_checkpoint, save_vae
 from pvae.diploss import SETTINGS, LossWeights
 from pvae.nsvae import NsvaeModel
@@ -95,7 +95,8 @@ class TestContainer:
         for pos in range(len(blob)):
             corrupted = bytearray(blob)
             corrupted[pos] ^= 0xFF
-            bad.write_bytes(bytes(corrupted))
+            with new_file(bad, "wb") as fh:
+                fh.write(bytes(corrupted))
             with pytest.raises(CheckpointError):
                 load_checkpoint(bad)
 
@@ -336,7 +337,8 @@ class TestFuzz:
         edited = bytearray(blob[:-4])
         edited[pos] = value
         path = tmp_path / "fuzz.ckpt"
-        path.write_bytes(with_crc(bytes(edited)))
+        with new_file(path, "wb") as fh:
+            fh.write(with_crc(bytes(edited)))
         try:
             load(path)
         except CheckpointError:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pvae import dsp
+from pvae import dsp, new_file
 from pvae.dsp import (FRAME_LEN, HOP, F_BINS, Spectrogram, Waveform,
                       WavFormatError)
 
@@ -293,7 +293,8 @@ def test_fuzz_edited_wav_loads_or_raises_wav_format_error(wav40, tmp_path, data)
         value = data.draw(st.integers(0, 255).filter(lambda v: v != wav40[pos]), label="value")
         edited = wav40[:pos] + bytes([value]) + wav40[pos + 1:]
     path = tmp_path / "fuzz.wav"
-    path.write_bytes(edited)
+    with new_file(path, "wb") as fh:
+        fh.write(edited)
     try:
         dsp.load_wav(path)
     except WavFormatError:
