@@ -17,6 +17,11 @@ Gradients are summed without mutating any array that a `grad` ever pointed
 to: an op adds its terms into buffers it owns and binds `grad` once, so an
 array passed down the graph may be shared between nodes and leaves.
 
+On two or more cores the sequence ops run half the frames of each large
+stacked product (forward, input-gradient and weight-gradient terms) on a
+worker thread, `_by_frames`. A frame is the same BLAS call whichever thread
+makes it, so every byte is the same as on one thread.
+
 The models never call `slice_rows` or `concat`. They stay, with
 `broadcast_rows`, because `tests/tape_reference.py` builds the per-frame
 graph from them, and the bitwise tests of the sequence ops compare against
@@ -25,7 +30,10 @@ that graph.
 
 from __future__ import annotations
 
+import contextvars
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -312,6 +320,38 @@ def _check_params(op: str, x: Tensor, params: Sequence[Tensor],
 
 
 _BLOCK_BYTES = 4 << 20      # bytes of stacked weight terms computed at once
+_SPLIT_MACS = 1 << 22       # multiply-adds from which a product is split
+_pool: ThreadPoolExecutor | None = None
+
+
+def _drop_pool() -> None:       # a forked child has no worker thread; it makes its own
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _by_frames(n_frames: int, macs: int, part: Callable[[int, int], object]) -> None:
+    """Run `part(lo, hi)` over frames [0, n_frames) of a (T, B, .) stack, inline
+    below `_SPLIT_MACS` multiply-adds or on one core; else the second half on
+    the worker, in the caller's context (`np.errstate`), and the first half
+    here. Returns or raises once both are done; the worker's error is raised here."""
+    global _pool
+    split = macs >= _SPLIT_MACS and n_frames > 1
+    if split and _pool is None and len(os.sched_getaffinity(0)) > 1:
+        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pvae-frames")
+    if not split or _pool is None:
+        part(0, n_frames)
+        return
+    mid = n_frames // 2
+    future = _pool.submit(contextvars.copy_context().run, part, mid, n_frames)
+    try:
+        part(0, mid)
+    finally:
+        error = future.exception()
+    if error is not None:
+        raise error
 
 
 def _sum_weight_terms(p: Tensor, lhs: np.ndarray, d: np.ndarray) -> None:
@@ -331,8 +371,10 @@ def _sum_weight_terms(p: Tensor, lhs: np.ndarray, d: np.ndarray) -> None:
     acc = None if p.grad is None else p.grad.copy()
     for lo in range(0, n_frames, per_block):
         hi = min(lo + per_block, n_frames)
-        block = np.matmul(lhs[lo:hi].transpose(0, 2, 1), d[lo:hi], out=terms[:hi - lo])
-        for term in block:
+        lhs_t, d_block = lhs[lo:hi].transpose(0, 2, 1), d[lo:hi]
+        _by_frames(hi - lo, lhs_t.size * d.shape[-1],
+                   lambda a, b: np.matmul(lhs_t[a:b], d_block[a:b], out=terms[a:b]))
+        for term in terms[:hi - lo]:
             acc = term.copy() if acc is None else np.add(acc, term, out=acc)
     p.grad = acc
 
@@ -364,7 +406,11 @@ def linear_seq(x: Tensor, weight: Tensor, bias: Tensor, n_batch: int,
         raise ValueError(f"linear_seq: expected (rows, {weight.data.shape[0]}), got {x.data.shape}")
     _check_params("linear_seq", x, (weight, bias), ((n_in, n_out), (n_out,)))
     wd = weight.data
-    pre = (np.matmul(x3, wd) + bias.data).reshape(-1, n_out)
+    macs = x3.size * n_out
+    pre3 = np.empty(x3.shape[:2] + (n_out,), x3.dtype)
+    _by_frames(len(x3), macs, lambda lo, hi: np.add(
+        np.matmul(x3[lo:hi], wd, out=pre3[lo:hi]), bias.data, out=pre3[lo:hi]))
+    pre = pre3.reshape(-1, n_out)
     if relu:
         _validate(pre, "linear_seq")       # relu would turn a -inf into 0
         mask = pre > 0
@@ -375,7 +421,9 @@ def linear_seq(x: Tensor, weight: Tensor, bias: Tensor, n_batch: int,
             g = g * mask
         g3 = g.reshape(x3.shape[:2] + (n_out,))
         if x.requires_grad:
-            _accumulate(x, np.matmul(g3, wd.T).reshape(-1, n_in))
+            gx = np.empty_like(x3)
+            _by_frames(len(x3), macs, lambda lo, hi: np.matmul(g3[lo:hi], wd.T, out=gx[lo:hi]))
+            _accumulate(x, gx.reshape(-1, n_in))
         xs, gs = (x3[::-1], g3[::-1]) if last_frame_first else (x3, g3)
         _sum_weight_terms(weight, xs, gs)
         _sum_bias_terms(bias, gs)
@@ -408,8 +456,14 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
 
     # input projections, turned into the gate pre-activations frame by frame;
     # a_rz[t] holds frame t's r and z halves, so one sigmoid call covers both
-    a_rz = np.stack([np.matmul(x3, w.data) for w in (W_r, W_z)], axis=1)
-    a_h = np.matmul(x3, W_h.data)
+    a_rz = np.empty((n_frames, 2, n_batch, H), x3.dtype)
+    a_h = np.empty((n_frames, n_batch, H), x3.dtype)
+
+    def project(lo, hi):
+        for out, w in ((a_rz[lo:hi, 0], W_r), (a_rz[lo:hi, 1], W_z), (a_h[lo:hi], W_h)):
+            np.matmul(x3[lo:hi], w.data, out=out)
+
+    _by_frames(n_frames, 3 * x3.size * H, project)
     hs = np.empty((n_frames + 1, n_batch, H), dtype=x3.dtype)   # hs[t] = h_{t-1}
     gates, cands = np.empty_like(a_rz), np.empty_like(a_h)      # (r, z), h~
     rs, zs = gates[:, 0], gates[:, 1]
@@ -457,8 +511,15 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
         for term in to_prev:
             _accumulate(h0, term)
         if x.requires_grad:
-            _accumulate(x, ((np.matmul(d_z, W_z.data.T) + np.matmul(d_h, W_h.data.T))
-                            + np.matmul(d_r, W_r.data.T)).reshape(-1, n_in))
+            gx = np.empty_like(x3)
+
+            def input_grad(lo, hi):    # (d_z W_zᵀ + d_h W_hᵀ) + d_r W_rᵀ, per frame
+                out = np.matmul(d_z[lo:hi], W_z.data.T, out=gx[lo:hi])
+                out += np.matmul(d_h[lo:hi], W_h.data.T)
+                out += np.matmul(d_r[lo:hi], W_r.data.T)
+
+            _by_frames(n_frames, 3 * x3.size * H, input_grad)
+            _accumulate(x, gx.reshape(-1, n_in))
 
     return _result(hs[1:].reshape(-1, H), (x, h0, *params), back, "gru_seq", scanned=True)
 

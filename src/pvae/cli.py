@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the caller chose: the sequence ops run two threads of
+# their own. OpenBLAS reads this once, when numpy loads.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402  (after the BLAS thread count)
 
 from . import CHECKPOINT_FORMAT_VERSION, __version__, new_file
 from .analysis import (LatentCloud, log_spectral_distance, pca_fit,

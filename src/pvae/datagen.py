@@ -37,14 +37,16 @@ def mix_at_snr(speech: Waveform, noise: Waveform, snr_db: float,
                rng: np.random.Generator) -> MixTriple:
     """Scale a random noise crop so speech/noise power hits snr_db exactly.
 
-    The mixture is peak-limited to 0.99 with one shared gain applied to all
-    three signals, which leaves the achieved SNR untouched.
+    A noise clip shorter than the speech is looped (tiled end to end) to at
+    least its length first. The mixture is peak-limited to 0.99 with one
+    shared gain applied to all three signals, which leaves the SNR untouched.
     """
     s = speech.samples
-    if len(noise) < len(s):
-        raise ValueError(f"noise ({len(noise)}) shorter than speech ({len(s)})")
-    start = int(rng.integers(0, len(noise) - len(s) + 1))
-    n = noise.samples[start:start + len(s)]
+    if len(noise) == 0:
+        raise ValueError("noise clip is empty")
+    looped = np.tile(noise.samples, -(-len(s) // len(noise)))
+    start = int(rng.integers(0, len(looped) - len(s) + 1))
+    n = looped[start:start + len(s)]
 
     p_s = float(np.mean(s * s))
     p_n = float(np.mean(n * n))

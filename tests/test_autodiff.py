@@ -5,12 +5,20 @@ to ~1e-10, so the 1e-6 relative tolerance is a real statement about the
 backward formulas, not about float noise.
 """
 
+import multiprocessing
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import tape_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvae import autodiff as ad
+from pvae import nn
 from pvae.autodiff import Tensor
 
 
@@ -358,3 +366,168 @@ def test_property_reuse_accumulation(seed):
     loss = ad.add(ad.tsum(x), ad.tsum(ad.mul(x, x)))
     ad.backward(loss)
     np.testing.assert_allclose(x.grad, 1.0 + 2.0 * x.data, rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# stacked products split between two threads at a frame boundary
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every stacked product splits, on a worker of the test's own."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        monkeypatch.setattr(ad, "_pool", pool)
+        monkeypatch.setattr(ad, "_SPLIT_MACS", 0)
+        yield pool
+
+
+@pytest.fixture
+def inline(monkeypatch):
+    """No pool, and one core, so no pool is made: every product runs inline."""
+    monkeypatch.setattr(ad, "_pool", None)
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(ad, "_SPLIT_MACS", 0)
+
+
+@pytest.fixture(params=["split", "inline"])
+def frame_mode(request, monkeypatch):
+    # weight-term blocks of 2-3 frames, so splits also land inside blocks
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * 5 * 6 * 8)
+    request.getfixturevalue(request.param)
+    return request.param
+
+
+def _split_linear_in_child():
+    x = Tensor(np.ones((8, 3)))
+    layer = nn.LinearLayer(3, 4, rng=np.random.default_rng(0))
+    layer(x, 2)
+
+
+class TestFrameSplit:
+    """`_by_frames` runs the frames of a stacked product as two halves, one
+    on the calling thread and one on a worker. Each frame is the same BLAS
+    call either way, so forward values and gradients keep the per-frame
+    tape's bytes."""
+
+    def test_second_half_runs_on_the_worker(self, split):
+        seen = []
+        ad._by_frames(5, 0, lambda lo, hi: seen.append((lo, hi, threading.get_ident())))
+        here, there = sorted(seen)
+        assert here == (0, 2, threading.get_ident())
+        assert there[:2] == (2, 5) and there[2] != threading.get_ident()
+
+    def test_small_or_single_frame_products_run_inline(self, split, monkeypatch):
+        monkeypatch.setattr(ad, "_SPLIT_MACS", 100)
+        seen = []
+        ad._by_frames(5, 99, lambda lo, hi: seen.append((lo, hi, threading.get_ident())))
+        ad._by_frames(1, 100, lambda lo, hi: seen.append((lo, hi, threading.get_ident())))
+        assert seen == [(0, 5, threading.get_ident()), (0, 1, threading.get_ident())]
+
+    def test_no_pool_on_one_core(self, inline):
+        seen = []
+        ad._by_frames(4, 1 << 30, lambda lo, hi: seen.append((lo, hi)))
+        assert seen == [(0, 4)] and ad._pool is None
+
+    def test_waits_for_the_worker_and_raises_its_error(self, split):
+        done = []
+
+        def worker_fails(lo, hi):
+            if lo:
+                time.sleep(0.05)
+                raise ValueError("worker half")
+            done.append("caller")
+
+        def caller_fails(lo, hi):
+            if not lo:
+                raise ValueError("caller half")
+            time.sleep(0.05)
+            done.append("worker")
+
+        with pytest.raises(ValueError, match="worker half"):
+            ad._by_frames(4, 0, worker_fails)
+        with pytest.raises(ValueError, match="caller half"):
+            ad._by_frames(4, 0, caller_fails)
+        assert done == ["caller", "worker"]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 32])
+    @pytest.mark.parametrize("n_batch", [1, 16])
+    def test_linear_seq_matches_per_frame_tape(self, frame_mode, dtype, n_frames, n_batch):
+        r = np.random.default_rng(10 * n_frames + n_batch)
+        for activation in ("relu", "none"):
+            layer = nn.LinearLayer(5, 6, activation, rng=r, dtype=dtype)
+            layer.bias.data = r.uniform(-0.5, 0.5, size=6).astype(dtype)
+            x = Tensor(r.normal(size=(n_frames * n_batch, 5)).astype(dtype), requires_grad=True)
+            w = Tensor(r.normal(size=(n_frames * n_batch, 6)).astype(dtype))
+
+            def tape(x):
+                return ad.concat([tape_reference.linear(layer, ad.slice_rows(
+                    x, t * n_batch, (t + 1) * n_batch)) for t in range(n_frames)], axis=0)
+
+            runs = [self.run(lambda x: layer(x, n_batch), x, w, layer), self.run(tape, x, w, layer)]
+            assert runs[0] == runs[1], activation
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 32])
+    @pytest.mark.parametrize("n_batch", [1, 16])
+    def test_gru_seq_matches_per_frame_tape(self, frame_mode, dtype, n_frames, n_batch):
+        r = np.random.default_rng(10 * n_frames + n_batch)
+        gru = nn.GruLayer(5, 6, rng=r, dtype=dtype)
+        for b in (gru.b_r, gru.b_z, gru.b_h):
+            b.data = r.uniform(-0.5, 0.5, size=6).astype(dtype)
+        x = Tensor(r.normal(size=(n_frames * n_batch, 5)).astype(dtype), requires_grad=True)
+        h0 = Tensor(r.normal(size=(n_batch, 6)).astype(dtype), requires_grad=True)
+        w = Tensor(r.normal(size=(n_frames * n_batch, 6)).astype(dtype))
+
+        def tape(x):
+            h, outs = h0, []
+            for t in range(n_frames):
+                h = tape_reference.gru_step(gru, ad.slice_rows(x, t * n_batch, (t + 1) * n_batch), h)
+                outs.append(h)
+            return ad.concat(outs, axis=0)
+
+        seq = self.run(lambda x: ad.gru_seq(x, h0, gru.parameters()), x, w, gru, h0)
+        assert seq == self.run(tape, x, w, gru, h0)
+
+    @staticmethod
+    def run(forward, x, w, layer, *extra):
+        """Output bytes, then the gradient bytes of x, `extra` and every parameter."""
+        leaves = [x, *extra, *layer.parameters()]
+        for p in leaves:
+            p.grad = None
+        out = forward(x)
+        ad.backward(ad.tsum(ad.mul(out, w)))
+        return [out.data.tobytes()] + [p.grad.tobytes() for p in leaves]
+
+    @pytest.mark.parametrize("frame", [0, 7], ids=["caller-half", "worker-half"])
+    def test_overflow_raises_in_either_half(self, split, frame):
+        layer = nn.LinearLayer(3, 4, rng=np.random.default_rng(1))
+        layer.weight.data[:] = 2.0
+        x = np.ones((8 * 2, 3))
+        x[2 * frame:2 * frame + 2] = 1e308
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            layer(Tensor(x), 2)
+        assert layer(Tensor(np.ones((16, 3))), 2).data.shape == (16, 4)   # the worker lives on
+
+    def test_worker_keeps_the_callers_error_state(self, split):
+        layer = nn.LinearLayer(3, 4, rng=np.random.default_rng(1))
+        layer.weight.data[:] = 2.0
+        x = np.ones((8 * 2, 3))
+        x[14:] = 1e308                        # frame 7, in the worker's half
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over="ignore"), pytest.raises(ad.NumericError) as err:
+                layer(Tensor(x), 2)
+        assert err.value.row == 14
+        assert [str(w.message) for w in caught] == []
+
+    def test_forked_child_runs_a_split(self, split):
+        _split_linear_in_child()             # the worker thread now exists
+        child = multiprocessing.get_context("fork").Process(target=_split_linear_in_child)
+        child.start()
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("a forked child hung on the parent's split worker")
+        assert child.exitcode == 0

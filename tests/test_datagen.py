@@ -4,6 +4,8 @@ SNR oracle: achieved SNR is recomputed from the returned triple as
 10*log10(P_speech / P_noise) and compared against the request.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -73,10 +75,35 @@ class TestMixAtSnr:
         triple = mix_at_snr(s, n, 0.0, rng)
         assert len(triple.noise) == 4000
 
-    def test_noise_shorter_than_speech_rejected(self, rng):
-        with pytest.raises(ValueError, match="shorter"):
-            mix_at_snr(tone(180.0, n=4000), Waveform(np.ones(100) * 0.1),
-                       0.0, rng)
+    @pytest.mark.parametrize("snr", [-5.0, 0.0, 10.0])
+    def test_noise_shorter_than_speech_is_looped(self, rng, snr):
+        clip = 0.1 * rng.standard_normal(1500)
+        triple = mix_at_snr(tone(180.0, n=4000), Waveform(clip), snr, rng)
+        assert len(triple.noise) == 4000
+        assert abs(achieved_snr_db(triple) - snr) < 1e-9
+        # the noise is one scaled 4000-sample window of the clip played in a loop
+        windows = np.lib.stride_tricks.sliding_window_view(np.tile(clip, 3), 4000)
+        got = triple.noise.samples
+        hits = [k for k, w in enumerate(windows)
+                if np.allclose(got[0] / w[0] * w, got, rtol=1e-12, atol=0)]
+        assert len(hits) == 1
+
+    def test_long_enough_noise_keeps_its_bytes(self):
+        # a synthetic triple whose noise outlasts its speech: the same draw
+        # and the same bytes as before looping was added
+        rng = np.random.default_rng(5)
+        s = synth_dataset("speech", 1, 0.5, rng)[0]
+        v = synth_dataset("noise", 1, 0.7, rng)[0]
+        triple = mix_at_snr(s, v, 3.0, np.random.default_rng(9))
+        digest = hashlib.sha256()
+        for w in (triple.speech, triple.noise, triple.mixture):
+            digest.update(w.samples.tobytes())
+        assert digest.hexdigest() == (
+            "5f7f711e7c1f4976a75e5babd41a4329a1bcf3b566068955be6f00fc46d56fe8")
+
+    def test_empty_noise_rejected(self, rng):
+        with pytest.raises(ValueError, match="noise clip is empty"):
+            mix_at_snr(tone(180.0, n=4000), Waveform(np.zeros(0)), 0.0, rng)
 
     def test_zero_energy_speech_rejected(self, rng):
         with pytest.raises(ValueError, match="speech"):

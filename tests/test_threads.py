@@ -4,13 +4,16 @@ OpenBLAS splits long level-1 reductions such as `ddot` across its threads,
 which changes their rounding, so every reduction behind an artifact must
 run in a fixed order. The criterion-7 micro chain runs in a subprocess per
 thread count, since OpenBLAS reads its thread count once, at load. Two
-threads at most: never ask for more.
+threads at most: never ask for more. The `pvae` command itself asks for one
+BLAS thread unless the caller has set a count.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pvae
 from test_acceptance import MICRO_CFG
@@ -38,3 +41,21 @@ def test_micro_chain_bytes_independent_of_blas_threads(tmp_path):
     one, two = trees
     assert sorted(one) == sorted(two)
     assert [name for name in one if one[name] != two[name]] == []
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset,expect", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"GOTO_NUM_THREADS": "2"}, None),
+    ({"OMP_NUM_THREADS": "2"}, None),
+], ids=["unset", "openblas", "goto", "omp"])
+def test_cli_pins_one_blas_thread_unless_the_caller_chose(preset, expect):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=SRC)
+    probe = "import os, pvae.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == str(expect)
