@@ -20,7 +20,8 @@ array passed down the graph may be shared between nodes and leaves.
 On two or more cores the sequence ops run half the frames of each large
 stacked product (forward, input-gradient and weight-gradient terms) on a
 worker thread, `_by_frames`. A frame is the same BLAS call whichever thread
-makes it, so every byte is the same as on one thread.
+makes it, so every byte is the same as on one thread. A `parallel` lane
+counts as one core and splits nothing.
 
 The models never call `slice_rows` or `concat`. They stay, with
 `broadcast_rows`, because `tests/tape_reference.py` builds the per-frame
@@ -38,6 +39,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import parallel
 
 
 class NumericError(RuntimeError):
@@ -334,12 +337,13 @@ os.register_at_fork(after_in_child=_drop_pool)
 
 def _by_frames(n_frames: int, macs: int, part: Callable[[int, int], object]) -> None:
     """Run `part(lo, hi)` over frames [0, n_frames) of a (T, B, .) stack, inline
-    below `_SPLIT_MACS` multiply-adds or on one core; else the second half on
-    the worker, in the caller's context (`np.errstate`), and the first half
-    here. Returns or raises once both are done; the worker's error is raised here."""
+    below `_SPLIT_MACS` multiply-adds or on one core (`parallel.cores`); else
+    the second half on the worker, in the caller's context (`np.errstate`),
+    and the first half here. Returns or raises once both are done; the
+    worker's error is raised here."""
     global _pool
     split = macs >= _SPLIT_MACS and n_frames > 1
-    if split and _pool is None and len(os.sched_getaffinity(0)) > 1:
+    if split and _pool is None and parallel.cores() > 1:
         _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pvae-frames")
     if not split or _pool is None:
         part(0, n_frames)

@@ -32,6 +32,7 @@ from .config import RunConfig, load_config
 from .datagen import mix_at_snr, synth_dataset
 from .diploss import SETTINGS, LossWeights
 from .dsp import FRAME_LEN, Waveform, load_wav, save_wav
+from .parallel import fork_join
 from .pipeline import (EnhanceResult, ModelBundle, enhance, enhance_details,
                        load_bundle, pretrain_vae, save_bundle, train_nsvae,
                        write_training_log)
@@ -128,16 +129,17 @@ def _load_wav_dir(root: Path) -> list[Waveform]:
     return [load_wav(p) for p in paths]
 
 
+def make_clips(cfg: RunConfig, role: str) -> list[Waveform]:
+    """Training clips of one role: synthesized, or read from `data_dir/<role>`."""
+    if cfg.data_dir:
+        return _load_wav_dir(Path(cfg.data_dir) / role)
+    n, offset = (cfg.n_speech, SEED_SPEECH) if role == "speech" else (cfg.n_noise, SEED_NOISE)
+    return synth_dataset(role, n, cfg.duration_s, np.random.default_rng(cfg.seed + offset))
+
+
 def make_datasets(cfg: RunConfig) -> tuple[list[Waveform], list[Waveform]]:
     """Training clips for both roles: synthesized, or read from data_dir."""
-    if cfg.data_dir:
-        root = Path(cfg.data_dir)
-        return _load_wav_dir(root / "speech"), _load_wav_dir(root / "noise")
-    speech = synth_dataset("speech", cfg.n_speech, cfg.duration_s,
-                           np.random.default_rng(cfg.seed + SEED_SPEECH))
-    noise = synth_dataset("noise", cfg.n_noise, cfg.duration_s,
-                          np.random.default_rng(cfg.seed + SEED_NOISE))
-    return speech, noise
+    return make_clips(cfg, "speech"), make_clips(cfg, "noise")
 
 
 def make_training_triples(cfg: RunConfig, speech, noise):
@@ -222,12 +224,12 @@ def export_latents(out_dir: Path, results: list[EnhanceResult]) -> dict:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _pretrain(out: Path, role: str, clips: list[Waveform], cfg: RunConfig,
-              weights: LossWeights) -> VaeModel:
-    """Train one `role` VAE on `clips`; writes `<role>_vae_log.csv` under `out`."""
-    model, log = pretrain_vae(role, clips, cfg, weights)
-    write_training_log(out / f"{role}_vae_log.csv", log)
-    return model
+def _pretrained(cfg: RunConfig, role: str, weights: LossWeights, clips=None):
+    """(clips, model, log): `role`'s training clips, `clips` if given, and the
+    VAE pretrained on them with its training log."""
+    if clips is None:
+        clips = make_clips(cfg, role)
+    return clips, *pretrain_vae(role, clips, cfg, weights)
 
 
 def _train_bundle(out: Path, cfg: RunConfig, speech, noise, cvae: VaeModel, nvae: VaeModel,
@@ -241,10 +243,20 @@ def _train_bundle(out: Path, cfg: RunConfig, speech, noise, cvae: VaeModel, nvae
     return bundle
 
 
-def _evaluate(out: Path, cfg: RunConfig, bundle: ModelBundle) -> tuple[dict, list[EnhanceResult]]:
-    """Enhance the eval clips once, write `metrics.csv`; (summary, results)."""
-    triples = make_eval_triples(cfg)
-    results = [enhance_details(bundle, t.mixture) for t in triples]
+def _enhance_all(bundle: ModelBundle, triples) -> list[EnhanceResult]:
+    """`enhance_details` of each mixture: the first half in a lane, the rest here."""
+    def enhance_some(part):
+        return lambda: [enhance_details(bundle, t.mixture) for t in part]
+
+    half = len(triples) // 2
+    first, rest = fork_join(enhance_some(triples[:half]), enhance_some(triples[half:]),
+                            "eval lane")
+    return first + rest
+
+
+def _evaluate(out: Path, triples, bundle: ModelBundle) -> tuple[dict, list[EnhanceResult]]:
+    """Enhance the eval `triples` once, write `metrics.csv`; (summary, results)."""
+    results = _enhance_all(bundle, triples)
     rows = evaluate_bundle(triples, results)
     write_metrics_csv(out / "metrics.csv", rows)
     return summarize_metrics(rows), results
@@ -265,8 +277,8 @@ def cmd_pretrain(args, cfg: RunConfig) -> None:
     out = Path(args.out)
     write_manifest(out, "pretrain", cfg, {"role": args.role})
     weights = cfg.loss_weights()
-    speech, noise = make_datasets(cfg)
-    model = _pretrain(out, args.role, speech if args.role == "speech" else noise, cfg, weights)
+    _, model, log = _pretrained(cfg, args.role, weights)
+    write_training_log(out / f"{args.role}_vae_log.csv", log)
     save_vae(out / f"{args.role}_vae.ckpt", model, weights)
 
 
@@ -302,7 +314,7 @@ def cmd_enhance(args, cfg: RunConfig) -> None:
 def cmd_evaluate(args, cfg: RunConfig) -> None:
     out = Path(args.out)
     write_manifest(out, "evaluate", cfg, {"bundle": str(args.bundle)})
-    summary, _ = _evaluate(out, cfg, load_bundle(args.bundle))
+    summary, _ = _evaluate(out, make_eval_triples(cfg), load_bundle(args.bundle))
     _write_json(out / "summary.json", summary)
 
 
@@ -310,8 +322,7 @@ def cmd_latent_viz(args, cfg: RunConfig) -> None:
     out = Path(args.out)
     write_manifest(out, "latent-viz", cfg, {"bundle": str(args.bundle)})
     bundle = load_bundle(args.bundle)
-    stats = export_latents(out, [enhance_details(bundle, t.mixture)
-                                 for t in make_eval_triples(cfg)])
+    stats = export_latents(out, _enhance_all(bundle, make_eval_triples(cfg)))
     _write_json(out / "separation.json", stats)
 
 
@@ -322,11 +333,18 @@ def run_setting(cfg: RunConfig, setting: int, out_dir: Path) -> dict:
     scfg = cfg.with_seed(cfg.seed + SEED_PER_SETTING * setting)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    speech, noise = make_datasets(scfg)
-    cvae = _pretrain(out_dir, "speech", speech, scfg, weights)
-    nvae = _pretrain(out_dir, "noise", noise, scfg, weights)
+    # The speech VAE pretrains in a lane while this process pretrains the noise
+    # VAE and makes the eval clips. WAVs under data_dir are read here, speech
+    # first as in a serial run; synthetic speech clips are made in the lane.
+    wavs = make_clips(scfg, "speech") if scfg.data_dir else None
+    (speech, cvae, speech_log), ((noise, nvae, noise_log), eval_triples) = fork_join(
+        lambda: _pretrained(scfg, "speech", weights, wavs),
+        lambda: (_pretrained(scfg, "noise", weights), make_eval_triples(scfg)),
+        "speech lane")
+    write_training_log(out_dir / "speech_vae_log.csv", speech_log)
+    write_training_log(out_dir / "noise_vae_log.csv", noise_log)
     bundle = _train_bundle(out_dir, scfg, speech, noise, cvae, nvae, weights, weights)
-    summary, results = _evaluate(out_dir, scfg, bundle)
+    summary, results = _evaluate(out_dir, eval_triples, bundle)
     summary["separation"] = stats = export_latents(out_dir, results)
     _write_json(out_dir / "summary.json", summary)
 

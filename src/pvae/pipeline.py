@@ -92,8 +92,8 @@ def _run_training(model, batch_loss, segments, cfg: RunConfig):
     """Adam + gradient clipping + patience-based early stopping.
 
     batch_loss(indices, rng) -> scalar loss Tensor over those segments.
-    Returns (log, best_params) where log is a list of (epoch, train, val)
-    and best_params maps names to copies of the best-validation weights.
+    Loads the best-validation weights back into `model` and returns the log,
+    a list of (epoch, train, val).
     """
     split_rng = np.random.default_rng(cfg.seed + 1)
     shuffle_rng = np.random.default_rng(cfg.seed + 2)
