@@ -17,25 +17,15 @@ Gradients are summed without mutating any array that a `grad` ever pointed
 to: an op adds its terms into buffers it owns and binds `grad` once, so an
 array passed down the graph may be shared between nodes and leaves.
 
-On two or more cores the sequence ops run half the frames of each large
-stacked product (forward, input-gradient and weight-gradient terms) on a
-worker thread, `_by_frames`. A frame is the same BLAS call whichever thread
-makes it, so every byte is the same as on one thread. A `parallel` lane
-counts as one core and splits nothing.
-
-The models never call `slice_rows` or `concat`. They stay, with
-`broadcast_rows`, because `tests/tape_reference.py` builds the per-frame
-graph from them, and the bitwise tests of the sequence ops compare against
-that graph.
+The sequence ops hand each large stacked product (forward, input-gradient
+and weight-gradient terms) to `parallel.by_frames`, which may run half its
+frames on a second core. A frame is the same BLAS call whichever thread
+makes it, so every byte is the same as on one thread.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -253,20 +243,6 @@ def transpose(a: Tensor) -> Tensor:
     return _result(a.data.T.copy(), (a,), back, "transpose")
 
 
-def outer_product(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise ValueError("outer_product: expects two 1-d tensors")
-    if a.data.dtype != b.data.dtype:
-        raise ValueError("outer_product: dtype mismatch")
-    ad, bd = a.data, b.data
-
-    def back(g):
-        _accumulate(a, g @ bd)
-        _accumulate(b, g.T @ ad)
-
-    return _result(np.outer(ad, bd), (a, b), back, "outer_product")
-
-
 def broadcast_rows(v: Tensor, n: int) -> Tensor:
     """Tile a 1-d tensor into n identical rows; gradient sums back over rows."""
     if v.data.ndim != 1:
@@ -323,39 +299,6 @@ def _check_params(op: str, x: Tensor, params: Sequence[Tensor],
 
 
 _BLOCK_BYTES = 4 << 20      # bytes of stacked weight terms computed at once
-_SPLIT_MACS = 1 << 22       # multiply-adds from which a product is split
-_pool: ThreadPoolExecutor | None = None
-
-
-def _drop_pool() -> None:       # a forked child has no worker thread; it makes its own
-    global _pool
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _by_frames(n_frames: int, macs: int, part: Callable[[int, int], object]) -> None:
-    """Run `part(lo, hi)` over frames [0, n_frames) of a (T, B, .) stack, inline
-    below `_SPLIT_MACS` multiply-adds or on one core (`parallel.cores`); else
-    the second half on the worker, in the caller's context (`np.errstate`),
-    and the first half here. Returns or raises once both are done; the
-    worker's error is raised here."""
-    global _pool
-    split = macs >= _SPLIT_MACS and n_frames > 1
-    if split and _pool is None and parallel.cores() > 1:
-        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pvae-frames")
-    if not split or _pool is None:
-        part(0, n_frames)
-        return
-    mid = n_frames // 2
-    future = _pool.submit(contextvars.copy_context().run, part, mid, n_frames)
-    try:
-        part(0, mid)
-    finally:
-        error = future.exception()
-    if error is not None:
-        raise error
 
 
 def _sum_weight_terms(p: Tensor, lhs: np.ndarray, d: np.ndarray) -> None:
@@ -376,8 +319,8 @@ def _sum_weight_terms(p: Tensor, lhs: np.ndarray, d: np.ndarray) -> None:
     for lo in range(0, n_frames, per_block):
         hi = min(lo + per_block, n_frames)
         lhs_t, d_block = lhs[lo:hi].transpose(0, 2, 1), d[lo:hi]
-        _by_frames(hi - lo, lhs_t.size * d.shape[-1],
-                   lambda a, b: np.matmul(lhs_t[a:b], d_block[a:b], out=terms[a:b]))
+        parallel.by_frames(hi - lo, lhs_t.size * d.shape[-1],
+                           lambda a, b: np.matmul(lhs_t[a:b], d_block[a:b], out=terms[a:b]))
         for term in terms[:hi - lo]:
             acc = term.copy() if acc is None else np.add(acc, term, out=acc)
     p.grad = acc
@@ -412,7 +355,7 @@ def linear_seq(x: Tensor, weight: Tensor, bias: Tensor, n_batch: int,
     wd = weight.data
     macs = x3.size * n_out
     pre3 = np.empty(x3.shape[:2] + (n_out,), x3.dtype)
-    _by_frames(len(x3), macs, lambda lo, hi: np.add(
+    parallel.by_frames(len(x3), macs, lambda lo, hi: np.add(
         np.matmul(x3[lo:hi], wd, out=pre3[lo:hi]), bias.data, out=pre3[lo:hi]))
     pre = pre3.reshape(-1, n_out)
     if relu:
@@ -426,7 +369,8 @@ def linear_seq(x: Tensor, weight: Tensor, bias: Tensor, n_batch: int,
         g3 = g.reshape(x3.shape[:2] + (n_out,))
         if x.requires_grad:
             gx = np.empty_like(x3)
-            _by_frames(len(x3), macs, lambda lo, hi: np.matmul(g3[lo:hi], wd.T, out=gx[lo:hi]))
+            parallel.by_frames(len(x3), macs,
+                               lambda lo, hi: np.matmul(g3[lo:hi], wd.T, out=gx[lo:hi]))
             _accumulate(x, gx.reshape(-1, n_in))
         xs, gs = (x3[::-1], g3[::-1]) if last_frame_first else (x3, g3)
         _sum_weight_terms(weight, xs, gs)
@@ -467,7 +411,7 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
         for out, w in ((a_rz[lo:hi, 0], W_r), (a_rz[lo:hi, 1], W_z), (a_h[lo:hi], W_h)):
             np.matmul(x3[lo:hi], w.data, out=out)
 
-    _by_frames(n_frames, 3 * x3.size * H, project)
+    parallel.by_frames(n_frames, 3 * x3.size * H, project)
     hs = np.empty((n_frames + 1, n_batch, H), dtype=x3.dtype)   # hs[t] = h_{t-1}
     gates, cands = np.empty_like(a_rz), np.empty_like(a_h)      # (r, z), h~
     rs, zs = gates[:, 0], gates[:, 1]
@@ -522,7 +466,7 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
                 out += np.matmul(d_h[lo:hi], W_h.data.T)
                 out += np.matmul(d_r[lo:hi], W_r.data.T)
 
-            _by_frames(n_frames, 3 * x3.size * H, input_grad)
+            parallel.by_frames(n_frames, 3 * x3.size * H, input_grad)
             _accumulate(x, gx.reshape(-1, n_in))
 
     return _result(hs[1:].reshape(-1, H), (x, h0, *params), back, "gru_seq", scanned=True)
@@ -574,40 +518,12 @@ def reciprocal(a: Tensor) -> Tensor:
     return _result(out_data, (a,), back, "reciprocal")
 
 
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def back(g):
-        _accumulate(a, g * (1.0 - out_data * out_data))
-
-    return _result(out_data, (a,), back, "tanh")
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # piecewise form avoids exp overflow for large |x|: 1/(1+e^-x) for
     # x >= 0 and e^x/(1+e^x) below, both through e = exp(-|x|)
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = _sigmoid(a.data)
-
-    def back(g):
-        _accumulate(a, g * out_data * (1.0 - out_data))
-
-    return _result(out_data, (a,), back, "sigmoid")
-
-
-def relu(a: Tensor) -> Tensor:
-    out_data = np.maximum(a.data, 0)
-    mask = a.data > 0
-
-    def back(g):
-        _accumulate(a, g * mask)
-
-    return _result(out_data, (a,), back, "relu")
 
 
 def square(a: Tensor) -> Tensor:
@@ -652,40 +568,6 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
         _accumulate(a, np.broadcast_to(g, shape).copy())
 
     return _result(np.mean(a.data, axis=axis), (a,), back, "mean")
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("concat: empty input")
-    dt = tensors[0].data.dtype
-    if any(t.data.dtype != dt for t in tensors):
-        raise ValueError("concat: dtype mismatch")
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
-
-    return _result(np.concatenate([t.data for t in tensors], axis=axis),
-                   tuple(tensors), back, "concat")
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows [start:stop) of a matrix (or elements of a vector)."""
-    if not (0 <= start <= stop <= a.data.shape[0]):
-        raise ValueError(f"slice_rows: [{start}:{stop}) out of range for {a.data.shape}")
-    shape = a.data.shape
-
-    def back(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        full[start:stop] = g
-        _accumulate(a, full)
-
-    return _result(a.data[start:stop].copy(), (a,), back, "slice_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -738,67 +620,3 @@ def backward(loss: Tensor) -> None:
         fn(g)
         node._parents = ()
         node._backward = None
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    tol: float
-    checked: int
-    passed: bool
-
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (f"grad_check: {status} (max rel err {self.max_rel_error:.3e} "
-                f"over {self.checked} elements, tol {self.tol:.1e})")
-
-
-def grad_check(f, xs, step: float = 1e-5, tol: float = 1e-6) -> GradCheckReport:
-    """Compare backward gradients of scalar f against central differences.
-
-    `xs` is a Tensor or a sequence of Tensors; `f` is called as `f(*xs)` and
-    must be deterministic (freeze any noise draws before checking).  Relative
-    error uses |a - b| / max(|a|, |b|, 1e-8).  Failures are reported, not
-    raised.
-    """
-    if isinstance(xs, Tensor):
-        xs = (xs,)
-    xs = tuple(xs)
-    for x in xs:
-        # perturbation below writes through a flat view; needs contiguity
-        if not x.data.flags.c_contiguous:
-            x.data = x.data.copy()
-        x.zero_grad()
-
-    out = f(*xs)
-    if not isinstance(out, Tensor) or out.data.ndim != 0:
-        raise ValueError("grad_check: f must return a scalar Tensor")
-    backward(out)
-    analytic = [np.zeros_like(x.data) if x.grad is None else x.grad.copy() for x in xs]
-
-    max_rel = 0.0
-    checked = 0
-    for x, a_grad in zip(xs, analytic):
-        flat = x.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            with no_grad():
-                flat[i] = orig + step
-                f_plus = f(*xs).item()
-                flat[i] = orig - step
-                f_minus = f(*xs).item()
-            flat[i] = orig
-            num = (f_plus - f_minus) / (2.0 * step)
-            ana = float(a_grad.reshape(-1)[i])
-            rel = abs(ana - num) / max(abs(ana), abs(num), 1e-8)
-            max_rel = max(max_rel, rel)
-            checked += 1
-
-    for x in xs:
-        x.zero_grad()
-    return GradCheckReport(max_rel_error=max_rel, tol=tol, checked=checked,
-                           passed=max_rel < tol)

@@ -16,8 +16,8 @@ import platform
 import sys
 from pathlib import Path
 
-# One BLAS thread unless the caller chose: the sequence ops run two threads of
-# their own. OpenBLAS reads this once, when numpy loads.
+# One BLAS thread unless the caller chose: `parallel` runs two threads of its
+# own. OpenBLAS reads this once, when numpy loads.
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
@@ -31,7 +31,7 @@ from .checkpoint import WrongModelError, load_vae, save_vae
 from .config import RunConfig, load_config
 from .datagen import mix_at_snr, synth_dataset
 from .diploss import SETTINGS, LossWeights
-from .dsp import FRAME_LEN, Waveform, load_wav, save_wav
+from .dsp import FRAME_LEN, Waveform, WavFormatError, load_wav, save_wav
 from .parallel import fork_join
 from .pipeline import (EnhanceResult, ModelBundle, enhance, enhance_details,
                        load_bundle, pretrain_vae, save_bundle, train_nsvae,
@@ -123,10 +123,22 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig,
 
 
 def _load_wav_dir(root: Path) -> list[Waveform]:
+    """Every WAV under `root`, each at least one STFT frame long; an error
+    names the file."""
     paths = sorted(root.glob("*.wav"))
     if not paths:
         raise FileNotFoundError(f"no WAV files under {root}")
-    return [load_wav(p) for p in paths]
+    clips = []
+    for path in paths:
+        try:
+            clip = load_wav(path)
+        except WavFormatError as exc:
+            raise WavFormatError(f"{path}: {exc}") from None
+        if len(clip) < FRAME_LEN:
+            raise WavFormatError(f"{path}: {len(clip)} samples, fewer than one "
+                                 f"{FRAME_LEN}-sample frame")
+        clips.append(clip)
+    return clips
 
 
 def make_clips(cfg: RunConfig, role: str) -> list[Waveform]:

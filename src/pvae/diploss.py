@@ -2,8 +2,8 @@
 off-diagonal/diagonal penalty, and the combined training objective.
 
 The regularizer acts on Cov(mu) only (the cheap variant of the two in
-circulation); the full total covariance is provided for analysis and
-checking, not for training.
+circulation); the full total covariance, diag(mean var) + Cov(mu), lives
+with the tests as a Monte-Carlo check of `mean_covariance`.
 
 Weight setting grid used by the ablation (beta, lambda_od, lambda_d):
   (1) (1, 0,    0)    plain VAE
@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import vae as vae_mod
 from .autodiff import Tensor
-from .vae import GaussianParams, VaeModel
+from .vae import VaeModel
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,6 @@ def mean_covariance(m: Tensor) -> Tensor:
     mu_bar = ad.tmean(m, axis=0)
     centered = ad.sub(m, ad.broadcast_rows(mu_bar, n))
     return ad.mul(ad.matmul(ad.transpose(centered), centered), 1.0 / n)
-
-
-def total_covariance(params: GaussianParams) -> Tensor:
-    """diag(mean var) + Cov(mu): the covariance of z pooled over the batch."""
-    cov_mu = mean_covariance(params.mu)
-    dim = cov_mu.data.shape[0]
-    eye = Tensor(np.eye(dim, dtype=cov_mu.data.dtype))
-    mean_var = ad.tmean(params.var, axis=0)
-    return ad.add(cov_mu, ad.mul(eye, ad.broadcast_rows(mean_var, dim)))
 
 
 def dip_regularizer(c: Tensor, w: LossWeights) -> Tensor:

@@ -7,8 +7,9 @@ frame t of sequence b, through the sequence ops `autodiff.linear_seq` and
 `autodiff.gru_seq`. Those ops make the same per-frame BLAS calls a
 frame-by-frame loop would, so the output for frame t never changes when
 later frames are appended: the encoders are causal bit for bit. Large
-stacked products (x @ W, input and weight gradients) run half their frames on
-a worker thread, with the same bytes; the h @ U recurrence stays on the caller.
+stacked products (x @ W, input and weight gradients) may run half their
+frames on the second core (`parallel.by_frames`), with the same bytes; the
+h @ U recurrence stays on the caller.
 
 The training step never writes an array a caller may hold: the ops sum
 gradients in buffers they own and bind `grad` once, `clip_grad_norm` binds

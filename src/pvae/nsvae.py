@@ -52,24 +52,6 @@ class NsvaeModel(FrameModel):
                     gaussian_head(wide, self.head_mu_v, self.head_logvar_v, n_batch))
 
 
-# ---------------------------------------------------------------------------
-# closed-form KL between diagonal Gaussians
-# ---------------------------------------------------------------------------
-
-def kl_diag_gaussians(mu1: np.ndarray, var1: np.ndarray,
-                      mu2: np.ndarray, var2: np.ndarray) -> float:
-    """KL( N(mu1, var1) || N(mu2, var2) ), both diagonal.
-
-    = 1/2 sum_i [ log(var2_i/var1_i) + (var1_i + (mu1_i - mu2_i)^2)/var2_i - 1 ]
-    """
-    if mu1.shape != mu2.shape:
-        raise ValueError(f"kl: shape mismatch {mu1.shape} vs {mu2.shape}")
-    if np.any(var1 <= 0) or np.any(var2 <= 0):
-        raise ValueError("kl: variances must be positive")
-    return float(0.5 * np.sum(np.log(var2 / var1)
-                              + (var1 + (mu1 - mu2) ** 2) / var2 - 1.0))
-
-
 def kl_diag_sum(mu1: Tensor, var1: Tensor, mu2: Tensor, var2: Tensor) -> Tensor:
     """Differentiable summed KL; gradients flow through the first argument."""
     ratio = ad.mul(ad.add(var1, ad.square(ad.sub(mu1, mu2))), ad.reciprocal(var2))

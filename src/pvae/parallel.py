@@ -1,4 +1,12 @@
-"""Two processes for two independent parts of one run, the same bytes as one.
+"""The second core: a worker thread for large stacked products, and a
+forked child for an independent part of a run. Either gives the bytes of
+one core.
+
+`by_frames(n_frames, macs, part)` runs `part(lo, hi)` over the frames of a
+(T, B, .) stack. From `_SPLIT_MACS` multiply-adds on, with two or more
+cores, it runs the second half of the frames on a worker thread and the
+first half here. A frame is the same BLAS call whichever thread makes it.
+The sequence ops of `autodiff` route every stacked product through it.
 
 `fork_join(lane, here, name)` runs `lane()` in a forked child, the lane,
 while this process runs `here()`, and returns both results. The child
@@ -10,27 +18,65 @@ reaped before the error propagates.
 Each part computes from what it was given and what it makes itself, with
 generators of its own, so its bytes do not depend on the process that runs
 it. On one usable core, or inside a lane, both parts run here, `lane()`
-first. A lane also runs every frame split of `autodiff` inline: `cores()`
-reads 1 there, so a lane never starts threads or lanes of its own.
+first, and every frame split runs inline: `cores()` reads 1 there, so a
+lane never starts threads or lanes of its own.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import pickle
 import signal
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 A = TypeVar("A")
 B = TypeVar("B")
 
 _in_lane = False
+_SPLIT_MACS = 1 << 22       # multiply-adds from which a product is split
+_pool: ThreadPoolExecutor | None = None
 
 
 def cores() -> int:
-    """Cores this process may fill: 1 inside a lane, else its CPU affinity."""
-    return 1 if _in_lane else len(os.sched_getaffinity(0))
+    """Cores this process may fill: 1 inside a lane or where the platform
+    reports no CPU affinity (macOS), else its affinity."""
+    if _in_lane or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _drop_pool() -> None:       # a forked child has no worker thread; it makes its own
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def by_frames(n_frames: int, macs: int, part: Callable[[int, int], object]) -> None:
+    """Run `part(lo, hi)` over frames [0, n_frames) of a (T, B, .) stack, inline
+    below `_SPLIT_MACS` multiply-adds or on one core; else the second half on
+    the worker, in the caller's context (`np.errstate`), and the first half
+    here. Returns or raises once both are done; the worker's error is raised
+    here."""
+    global _pool
+    split = macs >= _SPLIT_MACS and n_frames > 1
+    if split and _pool is None and cores() > 1:
+        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pvae-frames")
+    if not split or _pool is None:
+        part(0, n_frames)
+        return
+    mid = n_frames // 2
+    future = _pool.submit(contextvars.copy_context().run, part, mid, n_frames)
+    try:
+        part(0, mid)
+    finally:
+        error = future.exception()
+    if error is not None:
+        raise error
 
 
 def fork_join(lane: Callable[[], A], here: Callable[[], B], name: str) -> tuple[A, B]:
@@ -41,8 +87,8 @@ def fork_join(lane: Callable[[], A], here: Callable[[], B], name: str) -> tuple[
     read_fd, write_fd = os.pipe()
     sys.stdout.flush()              # or the child's buffers would repeat them
     sys.stderr.flush()
-    # The package's one other thread, autodiff's split worker, waits idle
-    # between splits; the child starts without it (`autodiff._drop_pool`).
+    # The split worker waits idle between splits; the child starts without
+    # it (`_drop_pool`).
     pid = os.fork()
     if pid == 0:
         _serve(lane, read_fd, write_fd)

@@ -129,26 +129,6 @@ class VaeModel(FrameModel):
 
 
 # ---------------------------------------------------------------------------
-# scalar reference losses (numpy; the training path uses the tensor versions)
-# ---------------------------------------------------------------------------
-
-def gaussian_log_likelihood(s: np.ndarray, mu: np.ndarray, var: np.ndarray) -> float:
-    """log N(s; mu, diag var) = -1/2 sum[ log(2 pi var) + (s-mu)^2/var ]."""
-    if s.shape != mu.shape:
-        raise ValueError(f"log-likelihood: shape mismatch {s.shape} vs {mu.shape}")
-    if np.any(var <= 0):
-        raise ValueError("log-likelihood: variance must be positive")
-    return float(-0.5 * np.sum(np.log(2.0 * np.pi * var) + (s - mu) ** 2 / var))
-
-
-def kl_to_standard_normal(mu: np.ndarray, var: np.ndarray) -> float:
-    """KL( N(mu, diag var) || N(0, I) ) = 1/2 sum(mu^2 + var - log var - 1)."""
-    if np.any(var <= 0):
-        raise ValueError("kl: variance must be positive")
-    return float(0.5 * np.sum(mu * mu + var - np.log(var) - 1.0))
-
-
-# ---------------------------------------------------------------------------
 # tensor-path loss terms
 # ---------------------------------------------------------------------------
 
@@ -189,10 +169,3 @@ def forward_terms(model: VaeModel, batch: np.ndarray, rng: np.random.Generator):
     kl_mean = ad.mul(kl_std_normal_sum(q.mu, q.var), inv)
     return nll_mean, kl_mean, q.mu
 
-
-def elbo_loss(model: VaeModel, batch: np.ndarray, rng: np.random.Generator) -> Tensor:
-    """Negated single-sample ELBO, averaged per frame (a minimization target)."""
-    if np.asarray(batch).size == 0:
-        raise ValueError("elbo_loss: empty batch")
-    nll_mean, kl_mean, _ = forward_terms(model, batch, rng)
-    return ad.add(nll_mean, kl_mean)

@@ -17,7 +17,7 @@ from pvae.checkpoint import save_checkpoint, save_vae
 from pvae.cli import MIN_EVAL_SAMPLES, evaluate_bundle, main
 from pvae.datagen import mix_at_snr
 from pvae.diploss import SETTINGS
-from pvae.dsp import SAMPLE_RATE, Waveform, load_wav
+from pvae.dsp import SAMPLE_RATE, Waveform, load_wav, save_wav
 from pvae.nsvae import NsvaeModel
 from pvae.pipeline import ModelBundle, enhance_details, load_bundle, save_bundle
 from pvae.vae import VaeModel
@@ -305,6 +305,31 @@ class TestDataDir:
         assert run("ablation", "--config", self.data_cfg(tmp_path, data),
                    "--settings", "3", "--out", str(tmp_path / "abl")) == 2
         assert capsys.readouterr().err == f"error: no WAV files under {data / 'speech'}\n"
+
+    def run_with_bad_wav(self, cfg_file, tmp_path, capsys, write):
+        data = tmp_path / "data"
+        assert run("synth-data", "--config", cfg_file, "--out", str(data)) == 0
+        bad = data / "noise" / "zz_bad.wav"
+        write(bad)
+        assert run("ablation", "--config", self.data_cfg(tmp_path, data),
+                   "--settings", "3", "--out", str(tmp_path / "abl")) == 2
+        return bad, capsys.readouterr().err
+
+    def test_clip_shorter_than_a_frame_is_named(self, cfg_file, tmp_path, capsys):
+        bad, err = self.run_with_bad_wav(cfg_file, tmp_path, capsys,
+                                         lambda path: save_wav(path, Waveform(np.zeros(100))))
+        assert err == f"error: {bad}: 100 samples, fewer than one 512-sample frame\n"
+
+    def test_wav_format_error_is_named(self, cfg_file, tmp_path, capsys):
+        def eight_khz(path):
+            with wave.open(str(path), "wb") as writer:
+                writer.setnchannels(1)
+                writer.setsampwidth(2)
+                writer.setframerate(8000)
+                writer.writeframes(np.zeros(4000, dtype="<i2").tobytes())
+
+        bad, err = self.run_with_bad_wav(cfg_file, tmp_path, capsys, eight_khz)
+        assert err == f"error: {bad}: sample_rate: expected 16000 Hz, got 8000\n"
 
 
 class TestEvaluateShortClips:

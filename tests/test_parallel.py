@@ -4,13 +4,14 @@ results and bytes as both run here."""
 import os
 import signal
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pvae.cli
-from pvae import autodiff as ad, parallel
+from pvae import parallel
 from pvae.autodiff import NumericError, Tensor
 from pvae.config import load_config
 from pvae.nn import LinearLayer
@@ -144,21 +145,40 @@ class TestForkJoin:
             os.kill(pid, 0)
 
     def test_fork_after_the_split_worker_exists(self, two_cores, monkeypatch):
-        monkeypatch.setattr(ad, "_SPLIT_MACS", 0)
+        monkeypatch.setattr(parallel, "_SPLIT_MACS", 0)
         layer = LinearLayer(3, 4, rng=np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(8, 3)))
         expected = layer(x, 2).data.tobytes()            # the worker thread now exists
-        assert ad._pool is not None
+        assert parallel._pool is not None
 
         def lane():
             seen = []
-            ad._by_frames(4, 0, lambda lo, hi: seen.append((lo, hi)))
-            return seen, layer(x, 2).data.tobytes(), ad._pool is None
+            parallel.by_frames(4, 0, lambda lo, hi: seen.append((lo, hi)))
+            return seen, layer(x, 2).data.tobytes(), parallel._pool is None
 
         (seen, out, no_pool), _ = parallel.fork_join(lane, lambda: None, "test lane")
         assert seen == [(0, 4)] and no_pool
         assert out == expected
-        assert ad._pool is not None                      # the caller keeps its worker
+        assert parallel._pool is not None                # the caller keeps its worker
+
+
+class TestWithoutAffinity:
+    """Where `os` has no `sched_getaffinity` (macOS), the process counts as
+    one core: products and lanes run inline, with the same bytes."""
+
+    def test_runs_inline_with_the_same_bytes(self, monkeypatch, forks):
+        layer = LinearLayer(3, 4, rng=np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).normal(size=(8, 3)))
+        monkeypatch.setattr(parallel, "_SPLIT_MACS", 0)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            monkeypatch.setattr(parallel, "_pool", pool)
+            split = layer(x, 2).data.tobytes()
+        monkeypatch.setattr(parallel, "_pool", None)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert parallel.cores() == 1
+        assert layer(x, 2).data.tobytes() == split
+        assert parallel._pool is None
+        assert fork_join_pids() == (os.getpid(), os.getpid()) and forks == []
 
 
 class TestCommandsInLanes:

@@ -7,6 +7,7 @@ monotonicity.
 
 import numpy as np
 import pytest
+from oracles import elbo_loss
 
 import pvae.autodiff as ad
 from pvae.autodiff import Tensor
@@ -20,7 +21,7 @@ from pvae.pipeline import (ModelBundle, _run_training, enhance, enhance_details,
                            load_bundle, make_segments, pretrain_vae,
                            save_bundle, train_nsvae, waveform_to_lps,
                            write_training_log)
-from pvae.vae import VaeModel, elbo_loss
+from pvae.vae import VaeModel
 
 
 def tiny_cfg(**kw):

