@@ -379,31 +379,17 @@ def linear_seq(x: Tensor, weight: Tensor, bias: Tensor, n_batch: int,
     return _result(out, (x, weight, bias), back, "linear_seq", scanned=relu)
 
 
-def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
-    """Hidden states h_1..h_T, as a (T*B, H) stack, of the GRU documented in
-    `nn.GruLayer` over a time-major (T*B, in) stack from the (B, H) state h0.
-
-    `params` is (W_r, W_z, W_h, U_r, U_z, U_h, b_r, b_z, b_h). The input
-    projections x W of all frames are stacked products; only the h U
-    products run frame by frame. Each gate is computed as (x W + h U) + b,
-    in the order of the gate equations, so the states are bit-identical to
-    those of single-frame calls. The gates are not fused into one
-    [W_r|W_z|W_h] product: at some small widths BLAS rounds that
-    differently from the three separate products. The backward pass is
-    backpropagation through time into x, h0 and all nine weights.
-    """
-    W_r, W_z, W_h, U_r, U_z, U_h, b_r, b_z, b_h = params
+def gru_project(x: Tensor, params: Sequence[Tensor],
+                n_batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """The input projections x W_r, x W_z and x W_h of a GRU (`params` as in
+    `gru_seq`) for every frame of a time-major (T*B, in) stack, as stacked
+    products: (a_rz, a_h), a_rz[t] holding frame t's r and z halves, of
+    shapes (T, 2, B, H) and (T, B, H). No graph is recorded."""
+    W_r, W_z, W_h = params[:3]
     H = W_r.data.shape[-1]
-    if h0.data.ndim != 2 or h0.data.shape[1] != H or h0.data.dtype != x.data.dtype:
-        raise ValueError(f"gru_seq: state shape {h0.data.shape} ({h0.data.dtype}) does not "
-                         f"match (batch, {H}) ({x.data.dtype})")
-    n_batch = h0.data.shape[0]
     x3 = _frames(x, n_batch, "gru_seq")
     n_frames, _, n_in = x3.shape
     _check_params("gru_seq", x, params, [(n_in, H)] * 3 + [(H, H)] * 3 + [(H,)] * 3)
-
-    # input projections, turned into the gate pre-activations frame by frame;
-    # a_rz[t] holds frame t's r and z halves, so one sigmoid call covers both
     a_rz = np.empty((n_frames, 2, n_batch, H), x3.dtype)
     a_h = np.empty((n_frames, n_batch, H), x3.dtype)
 
@@ -412,10 +398,22 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
             np.matmul(x3[lo:hi], w.data, out=out)
 
     parallel.by_frames(n_frames, 3 * x3.size * H, project)
-    hs = np.empty((n_frames + 1, n_batch, H), dtype=x3.dtype)   # hs[t] = h_{t-1}
+    return a_rz, a_h
+
+
+def gru_recur(a_rz: np.ndarray, a_h: np.ndarray, h0: np.ndarray,
+              params: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run a GRU from the (B, H) state h0 over the input projections of
+    `gru_project`, which become the gate pre-activations in place. Returns
+    (hs, gates, cands): the states hs (T+1, B, H) with hs[0] = h0, and the
+    gates (r, z) and candidates h~ of each frame. A non-finite pre-activation
+    raises `NumericError` at the first frame that holds one."""
+    U_r, U_z, U_h, b_r, b_z, b_h = params[3:]
+    n_frames, _, n_batch, H = a_rz.shape
+    hs = np.empty((n_frames + 1, n_batch, H), dtype=a_h.dtype)  # hs[t] = h_{t-1}
     gates, cands = np.empty_like(a_rz), np.empty_like(a_h)      # (r, z), h~
     rs, zs = gates[:, 0], gates[:, 1]
-    hs[0] = h0.data
+    hs[0] = h0
     for t in range(n_frames):
         h, a = hs[t], a_rz[t]
         for half, U, b in ((0, U_r, b_r), (1, U_z, b_z)):
@@ -427,8 +425,38 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
         cands[t] = np.tanh(a_h[t])
         hs[t + 1] = (1.0 - zs[t]) * h + zs[t] * cands[t]
     # sigmoid and tanh would hide an overflowed product; h stays finite otherwise
-    for a in (a_rz[:, 0], a_rz[:, 1], a_h):
-        _validate(a.reshape(-1, H), "gru_seq")
+    finite = np.isfinite(a_rz).all(axis=(1, 3)) & np.isfinite(a_h).all(axis=2)
+    if not finite.all():
+        raise NumericError("gru_seq: non-finite values in result",
+                           int(np.argmin(finite.reshape(-1))))
+    return hs, gates, cands
+
+
+def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
+    """Hidden states h_1..h_T, as a (T*B, H) stack, of the GRU documented in
+    `nn.GruLayer` over a time-major (T*B, in) stack from the (B, H) state h0.
+
+    `params` is (W_r, W_z, W_h, U_r, U_z, U_h, b_r, b_z, b_h). The input
+    projections x W of all frames are stacked products (`gru_project`); only
+    the h U products run frame by frame (`gru_recur`). Each gate is computed
+    as (x W + h U) + b, in the order of the gate equations, so the states are
+    bit-identical to those of single-frame calls, and to those of calls over
+    consecutive runs of frames that carry the state. The gates are not fused
+    into one [W_r|W_z|W_h] product: at some small widths BLAS rounds that
+    differently from the three separate products. The backward pass is
+    backpropagation through time into x, h0 and all nine weights.
+    """
+    W_r, W_z, W_h, U_r, U_z, U_h, b_r, b_z, b_h = params
+    H = W_r.data.shape[-1]
+    if h0.data.ndim != 2 or h0.data.shape[1] != H or h0.data.dtype != x.data.dtype:
+        raise ValueError(f"gru_seq: state shape {h0.data.shape} ({h0.data.dtype}) does not "
+                         f"match (batch, {H}) ({x.data.dtype})")
+    n_batch = h0.data.shape[0]
+    a_rz, a_h = gru_project(x, params, n_batch)
+    hs, gates, cands = gru_recur(a_rz, a_h, h0.data, params)
+    x3 = _frames(x, n_batch, "gru_seq")
+    n_frames, _, n_in = x3.shape
+    rs, zs = gates[:, 0], gates[:, 1]
 
     def back(g):
         g3 = g.reshape(n_frames, n_batch, H)

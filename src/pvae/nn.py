@@ -9,7 +9,9 @@ frame-by-frame loop would, so the output for frame t never changes when
 later frames are appended: the encoders are causal bit for bit. Large
 stacked products (x @ W, input and weight gradients) may run half their
 frames on the second core (`parallel.by_frames`), with the same bytes; the
-h @ U recurrence stays on the caller.
+h @ U recurrence stays on the caller. A GRU's forward also runs in its two
+parts, `project` and `recur`, the recurrence from a given state, so that a
+sequence can run in chunks of frames with the bytes of one call.
 
 The training step never writes an array a caller may hold: the ops sum
 gradients in buffers they own and bind `grad` once, `clip_grad_norm` binds
@@ -110,7 +112,8 @@ class GruLayer(Module):
     With all-zero weights z = 0.5 and h~ = 0, so h_t = 0.5 h_prev.
     A call starts from the zero state, so callers feed whole utterances
     (segments), never continuations. `ad.gru_seq` is the one implementation;
-    `step` is its single-frame call from a given state.
+    `step` is its single-frame call from a given state, and `project` and
+    `recur` are its forward in two parts, without the graph.
     """
 
     def __init__(self, in_dim: int, hidden_dim: int,
@@ -138,6 +141,15 @@ class GruLayer(Module):
     def step(self, x_t: Tensor, h_prev: Tensor) -> Tensor:
         return ad.gru_seq(x_t, h_prev, self.parameters())
 
+    def project(self, x: Tensor, n_batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """The input projections of every frame (`ad.gru_project`)."""
+        return ad.gru_project(x, self.parameters(), n_batch)
+
+    def recur(self, projections: tuple[np.ndarray, np.ndarray], h0: np.ndarray) -> np.ndarray:
+        """States h_0..h_T, (T+1, B, hidden), from the (B, hidden) state h0 over
+        `project`'s result, which it consumes (`ad.gru_recur`)."""
+        return ad.gru_recur(*projections, h0, self.parameters())[0]
+
     def named_parameters(self) -> dict[str, Tensor]:
         return {name: getattr(self, name) for name in
                 ("W_r", "W_z", "W_h", "U_r", "U_z", "U_h", "b_r", "b_z", "b_h")}
@@ -155,22 +167,27 @@ class EncoderTrunk(Module):
     def layers(self) -> list[tuple[str, Module]]:
         return [(f"fc{i}", layer) for i, layer in enumerate(self.fc)] + [("gru", self.gru)]
 
-    def __call__(self, x: Tensor, n_batch: int) -> Tensor:
+    def front(self, x: Tensor, n_batch: int) -> Tensor:
+        """The FC layers: the GRU's input stack."""
         h = x
         for layer in self.fc:
             # these frames' gradients come out of the GRU's backward last frame first
             h = layer(h, n_batch, last_frame_first=True)
-        return self.gru(h, n_batch)
+        return h
+
+    def __call__(self, x: Tensor, n_batch: int) -> Tensor:
+        return self.gru(self.front(x, n_batch), n_batch)
 
 
 @contextmanager
-def stage(name: str, n_batch: int):
+def stage(name: str, n_batch: int, first_frame: int = 0):
     """Re-raise a `NumericError` from an op on a time-major stack of batch
-    `n_batch` as "<name> frame <t>: <op>: ..."."""
+    `n_batch` as "<name> frame <t>: <op>: ...", the stack's frame 0 being
+    frame `first_frame` of the sequence."""
     try:
         yield
     except NumericError as exc:
-        where = name if exc.row is None else f"{name} frame {exc.row // n_batch}"
+        where = name if exc.row is None else f"{name} frame {first_frame + exc.row // n_batch}"
         raise NumericError(f"{where}: {exc}") from exc
 
 

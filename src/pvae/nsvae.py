@@ -47,9 +47,16 @@ class NsvaeModel(FrameModel):
         """Dual posteriors (speech, noise) for a time-major (T*B, F) stack of
         noisy frames."""
         with nn.stage("encode", n_batch):
-            wide = self.fc_wide(self.trunk(y_stack, n_batch), n_batch)
-            return (gaussian_head(wide, self.head_mu_x, self.head_logvar_x, n_batch),
-                    gaussian_head(wide, self.head_mu_v, self.head_logvar_v, n_batch))
+            return self.heads(self.trunk(y_stack, n_batch), n_batch)
+
+    def heads(self, h: Tensor, n_batch: int,
+              variances: bool = True) -> tuple[GaussianParams, GaussianParams]:
+        """The encoder after its trunk, over a (T*B, hidden) stack of the trunk's
+        states: (speech, noise); without `variances` only the means (var None)."""
+        wide = self.fc_wide(h, n_batch)
+        return tuple(gaussian_head(wide, mu, logvar if variances else None, n_batch)
+                     for mu, logvar in ((self.head_mu_x, self.head_logvar_x),
+                                        (self.head_mu_v, self.head_logvar_v)))
 
 
 def kl_diag_sum(mu1: Tensor, var1: Tensor, mu2: Tensor, var2: Tensor) -> Tensor:

@@ -1,12 +1,17 @@
-"""The second core: a worker thread for large stacked products, and a
-forked child for an independent part of a run. Either gives the bytes of
-one core.
+"""The second core: a worker thread for stacked products, and a forked
+child for an independent part of a run. Either gives the bytes of one core.
 
 `by_frames(n_frames, macs, part)` runs `part(lo, hi)` over the frames of a
 (T, B, .) stack. From `_SPLIT_MACS` multiply-adds on, with two or more
 cores, it runs the second half of the frames on a worker thread and the
 first half here. A frame is the same BLAS call whichever thread makes it.
 The sequence ops of `autodiff` route every stacked product through it.
+
+`on_worker(stage)` starts `stage()` on the same worker and returns its
+future; the worker runs stages in the order they were started. The
+chunked enhancement chain of `pipeline` runs its stacked products this way
+while the caller runs the GRU recurrences. The worker counts one core, so
+a split or a stage started on it runs inline.
 
 `fork_join(lane, here, name)` runs `lane()` in a forked child, the lane,
 while this process runs `here()`, and returns both results. The child
@@ -19,7 +24,9 @@ Each part computes from what it was given and what it makes itself, with
 generators of its own, so its bytes do not depend on the process that runs
 it. On one usable core, or inside a lane, both parts run here, `lane()`
 first, and every frame split runs inline: `cores()` reads 1 there, so a
-lane never starts threads or lanes of its own.
+lane never starts threads or lanes of its own. `cores()` also reads 1 in
+the caller while `here()` runs, so the two processes never keep more than
+two threads busy.
 """
 
 from __future__ import annotations
@@ -29,23 +36,43 @@ import os
 import pickle
 import signal
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 A = TypeVar("A")
 B = TypeVar("B")
 
 _in_lane = False
+_in_here = False            # the caller of `fork_join` while its `here()` runs
 _SPLIT_MACS = 1 << 22       # multiply-adds from which a product is split
 _pool: ThreadPoolExecutor | None = None
+_local = threading.local()      # `on_worker` is set on the worker thread
 
 
 def cores() -> int:
-    """Cores this process may fill: 1 inside a lane or where the platform
-    reports no CPU affinity (macOS), else its affinity."""
-    if _in_lane or not hasattr(os, "sched_getaffinity"):
+    """Cores this thread may fill: 1 on the worker thread, inside a lane, in
+    the caller while a lane runs, or where the platform reports no CPU
+    affinity (macOS); else the process's affinity."""
+    if (_in_lane or _in_here or getattr(_local, "on_worker", False)
+            or not hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def _mark_worker() -> None:
+    _local.on_worker = True
+
+
+def _worker() -> ThreadPoolExecutor | None:
+    """The worker thread, started on first use; None where `cores()` reads 1."""
+    global _pool
+    if cores() < 2:
+        return None
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pvae-frames",
+                                   initializer=_mark_worker)
+    return _pool
 
 
 def _drop_pool() -> None:       # a forked child has no worker thread; it makes its own
@@ -56,21 +83,34 @@ def _drop_pool() -> None:       # a forked child has no worker thread; it makes 
 os.register_at_fork(after_in_child=_drop_pool)
 
 
+def on_worker(stage: Callable[[], A]) -> Future[A]:
+    """Start `stage()` on the worker, in the caller's context (`np.errstate`),
+    and return its future; where `cores()` reads 1, run it here and return it
+    done. Either way its error is raised by `result()`. The caller must wait
+    for every future it starts, or cancel it, before it returns."""
+    pool = _worker()
+    if pool is not None:
+        return pool.submit(contextvars.copy_context().run, stage)
+    done: Future[A] = Future()
+    try:
+        done.set_result(stage())
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
+
+
 def by_frames(n_frames: int, macs: int, part: Callable[[int, int], object]) -> None:
     """Run `part(lo, hi)` over frames [0, n_frames) of a (T, B, .) stack, inline
-    below `_SPLIT_MACS` multiply-adds or on one core; else the second half on
-    the worker, in the caller's context (`np.errstate`), and the first half
-    here. Returns or raises once both are done; the worker's error is raised
-    here."""
-    global _pool
-    split = macs >= _SPLIT_MACS and n_frames > 1
-    if split and _pool is None and cores() > 1:
-        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pvae-frames")
-    if not split or _pool is None:
+    below `_SPLIT_MACS` multiply-adds or where `cores()` reads 1; else the
+    second half on the worker, in the caller's context (`np.errstate`), and
+    the first half here. Returns or raises once both are done; the worker's
+    error is raised here."""
+    pool = _worker() if macs >= _SPLIT_MACS and n_frames > 1 else None
+    if pool is None:
         part(0, n_frames)
         return
     mid = n_frames // 2
-    future = _pool.submit(contextvars.copy_context().run, part, mid, n_frames)
+    future = pool.submit(contextvars.copy_context().run, part, mid, n_frames)
     try:
         part(0, mid)
     finally:
@@ -82,6 +122,7 @@ def by_frames(n_frames: int, macs: int, part: Callable[[int, int], object]) -> N
 def fork_join(lane: Callable[[], A], here: Callable[[], B], name: str) -> tuple[A, B]:
     """(lane(), here()), the first computed in a forked child on two or more
     cores; a failure of the child is named by `name`."""
+    global _in_here
     if cores() < 2:
         return lane(), here()
     read_fd, write_fd = os.pipe()
@@ -96,7 +137,11 @@ def fork_join(lane: Callable[[], A], here: Callable[[], B], name: str) -> tuple[
     pipe = os.fdopen(read_fd, "rb")
     lost = None
     try:
-        mine = here()
+        _in_here = True
+        try:
+            mine = here()
+        finally:
+            _in_here = False
         try:
             ok, value = pickle.load(pipe)
         except Exception as exc:    # the child ended before its result was whole

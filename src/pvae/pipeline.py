@@ -2,6 +2,15 @@
 with early stopping, bundle serialization, and waveform-in/waveform-out
 enhancement.
 
+Enhancement runs the encoder and both decoders over the clip in chunks of
+`CHUNK_FRAMES` frames, carrying the three GRU states from chunk to chunk.
+The caller runs the GRU recurrences; the worker of `parallel` runs each
+chunk's stacked products: the trunk's FC layers and GRU input projections
+a chunk ahead of the caller, and the heads, the latents and the decoders'
+products behind it. Every layer makes the same per-frame BLAS calls as one call over
+the whole clip, so the bytes are those of `nsvae.encode` followed by
+`cvae.decode` and `nvae.decode`.
+
 Training runs in `checkpoint.MODEL_DTYPE` (float32) so that checkpoints
 round-trip bit-exactly; all loops are deterministic functions of (seed,
 config, dataset). The loops read their settings from the one `RunConfig`;
@@ -12,10 +21,12 @@ the ablation varies per setting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from . import CHECKPOINT_FORMAT_VERSION, autodiff as ad, write_csv
+from . import CHECKPOINT_FORMAT_VERSION, autodiff as ad, nn, parallel, write_csv
+from .autodiff import Tensor
 from .checkpoint import (MODEL_DTYPE, CheckpointError, load_checkpoint, load_parameters,
                          new_model, save_checkpoint, stored_weights)
 from .config import RunConfig
@@ -24,7 +35,7 @@ from .diploss import LossWeights, dip_total_loss
 from .dsp import Spectrogram, Waveform, istft, lps, lps_to_magnitude, stft, wiener_mask
 from .nn import Adam, Module, clip_grad_norm
 from .nsvae import NsvaeModel, permutation_loss
-from .vae import VaeModel, reparameterize
+from .vae import VaeModel, draw
 
 
 @dataclass
@@ -213,27 +224,95 @@ class EnhanceResult:
     z_noise: np.ndarray
 
 
+CHUNK_FRAMES = 64       # frames per chunk of the enhancement chain
+
+
 def enhance_details(bundle: ModelBundle, noisy: Waveform,
                     rng: np.random.Generator | None = None) -> EnhanceResult:
     """Masked enhancement with the mask and the latents exposed for analysis.
 
     Without `rng` the decoders see the posterior means, so the output is a
     deterministic function of `bundle` and `noisy`; with `rng` each latent is
-    drawn from its posterior through the reparameterization.
+    drawn from its posterior through the reparameterization, the speech
+    draws of the whole clip first, then the noise draws.
     """
     spec = stft(noisy)
-    with ad.no_grad():
-        qx, qv = bundle.nsvae.encode(lps(spec.frames).T)
-        if rng is None:
-            z_x, z_v = qx.mu, qv.mu
-        else:
-            z_x, z_v = reparameterize(qx, rng), reparameterize(qv, rng)
-        x_mag = lps_to_magnitude(bundle.cvae.decode(z_x).mu.data.T)
-        v_mag = lps_to_magnitude(bundle.nvae.decode(z_v).mu.data.T)
-
-    mask = wiener_mask(x_mag, v_mag)
+    ns = bundle.nsvae
+    y = ns.sequence(lps(spec.frames).T).data
+    eps = None if rng is None else tuple(
+        rng.standard_normal((len(y), ns.latent_dim)).astype(ns.dtype) for _ in range(2))
+    (z_x, z_v), (x_mu, v_mu) = _encode_decode(bundle, y, eps)
+    mask = wiener_mask(lps_to_magnitude(x_mu.T), lps_to_magnitude(v_mu.T))
     return EnhanceResult(enhanced=istft(Spectrogram(mask * spec.frames)), mask=mask,
-                         z_speech=z_x.data, z_noise=z_v.data)
+                         z_speech=z_x, z_noise=z_v)
+
+
+def _encode_decode(bundle: ModelBundle, y: np.ndarray,
+                   eps: tuple[np.ndarray, np.ndarray] | None):
+    """([z_x, z_v], [x_mu, v_mu]) of the (T, F) noisy sequence `y`, chunk by
+    chunk: the latents, which are the posterior means or, given the speech
+    and noise draws `eps`, (T, L) each, the reparameterized samples; and the
+    decoders' means. A stage's `NumericError` names the clip frame."""
+    ns, decoders = bundle.nsvae, (bundle.cvae, bundle.nvae)
+    spans = [(lo, min(lo + CHUNK_FRAMES, len(y))) for lo in range(0, len(y), CHUNK_FRAMES)]
+    z = [np.empty((len(y), ns.latent_dim), ns.dtype) for _ in decoders]
+    means = [np.empty((len(y), d.input_dim), d.dtype) for d in decoders]
+
+    # the worker's stages; `no_grad` holds per thread, so each enters it
+    def front(k):           # the trunk's FC layers and GRU input projections
+        lo, hi = spans[k]
+        with ad.no_grad(), nn.stage("encode", 1, lo):
+            return ns.trunk.gru.project(ns.trunk.front(Tensor(y[lo:hi]), 1), 1)
+
+    def heads(k, h):        # the latents and the decoders' GRU input projections
+        lo, hi = spans[k]
+        with ad.no_grad():
+            with nn.stage("encode", 1, lo):
+                posteriors = ns.heads(Tensor(h), 1, variances=eps is not None)
+            projections = []
+            for q, d, zs, e in zip(posteriors, decoders, z, eps or (None, None)):
+                zs[lo:hi] = (q.mu if e is None else draw(q, e[lo:hi])).data
+                projections.append(d.dec_gru.project(Tensor(zs[lo:hi]), 1))
+            return projections
+
+    def tails(k, hs):       # the decoders' FC layers and mean heads
+        lo, hi = spans[k]
+        with ad.no_grad(), nn.stage("decode", 1, lo):
+            for d, h, out in zip(decoders, hs, means):
+                out[lo:hi] = d.decode_tail(Tensor(h), 1, variances=False).mu.data
+
+    # step k: the worker runs heads(k-1), front(k+1) and tails(k-2) in that
+    # order while this thread runs the encoder's recurrence over chunk k and
+    # then, once heads(k-1) is done, the decoders' over chunk k-1
+    n = len(spans)
+    enc_h = ns.trunk.gru.initial_state(1).data
+    dec_h = [d.dec_gru.initial_state(1).data for d in decoders]
+    enc_states = dec_states = None      # of the last chunk each recurrence ran
+    fronts, latents, decoded = {0: parallel.on_worker(partial(front, 0))}, {}, []
+    try:
+        for k in range(n + 2):
+            if 1 <= k <= n:
+                latents[k - 1] = parallel.on_worker(partial(heads, k - 1, enc_states))
+            if k + 1 < n:
+                fronts[k + 1] = parallel.on_worker(partial(front, k + 1))
+            if k >= 2:
+                decoded.append(parallel.on_worker(partial(tails, k - 2, dec_states)))
+            if k < n:
+                projection = fronts.pop(k).result()
+                with nn.stage("encode", 1, spans[k][0]):
+                    hs = ns.trunk.gru.recur(projection, enc_h)
+                enc_h, enc_states = hs[-1], hs[1:, 0]
+            if 1 <= k <= n:
+                projections = latents.pop(k - 1).result()
+                with nn.stage("decode", 1, spans[k - 1][0]):
+                    hs = [d.dec_gru.recur(p, h) for d, p, h in zip(decoders, projections, dec_h)]
+                dec_h, dec_states = [h[-1] for h in hs], [h[1:, 0] for h in hs]
+    finally:
+        for future in (*fronts.values(), *latents.values(), *decoded):
+            future.exception()          # no stage outlives the call
+    for future in decoded:
+        future.result()
+    return z, means
 
 
 def enhance(bundle: ModelBundle, noisy: Waveform,

@@ -10,6 +10,8 @@ this model and `nsvae.NsvaeModel` share.
 Batched sequences are laid out time-major: a (B, T, F) batch becomes a
 (T*B, F) matrix whose row t*B + b is frame t of sequence b. Every layer runs
 on the whole stack at once; the same code serves training and inference.
+`decode_tail` is the decoder after its GRU, so that enhancement can run the
+decoder over chunks of frames (`pipeline.enhance_details`).
 """
 
 from __future__ import annotations
@@ -29,23 +31,31 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class GaussianParams:
-    """Diagonal Gaussian (mu, var) as graph Tensors; var is floored at VAR_FLOOR."""
+    """Diagonal Gaussian (mu, var) as graph Tensors; var is floored at VAR_FLOOR,
+    or None where only the means were computed."""
 
     mu: Tensor
-    var: Tensor
+    var: Tensor | None
 
 
 def reparameterize(q: GaussianParams, rng: np.random.Generator) -> Tensor:
     """A draw z = mu + sqrt(var) * epsilon, epsilon ~ N(0, I) from `rng`."""
-    eps = rng.standard_normal(q.mu.data.shape).astype(q.mu.data.dtype)
+    return draw(q, rng.standard_normal(q.mu.data.shape).astype(q.mu.data.dtype))
+
+
+def draw(q: GaussianParams, eps: np.ndarray) -> Tensor:
+    """z = mu + sqrt(var) * eps for standard-normal draws `eps`."""
     return ad.add(q.mu, ad.mul(ad.sqrt(q.var), Tensor(eps)))
 
 
-def gaussian_head(h: Tensor, mu_head: nn.LinearLayer, logvar_head: nn.LinearLayer,
+def gaussian_head(h: Tensor, mu_head: nn.LinearLayer, logvar_head: nn.LinearLayer | None,
                   n_batch: int) -> GaussianParams:
-    """Diagonal Gaussian (mu, var) from two linear heads; var is floored."""
-    return GaussianParams(mu_head(h, n_batch),
-                          ad.clamp_min(ad.exp(logvar_head(h, n_batch)), VAR_FLOOR))
+    """Diagonal Gaussian (mu, var) from two linear heads; var is floored.
+    Without `logvar_head` only the means are computed and var is None."""
+    mu = mu_head(h, n_batch)
+    if logvar_head is None:
+        return GaussianParams(mu, None)
+    return GaussianParams(mu, ad.clamp_min(ad.exp(logvar_head(h, n_batch)), VAR_FLOOR))
 
 
 class FrameModel(nn.Module):
@@ -67,12 +77,16 @@ class FrameModel(nn.Module):
     def config(self) -> dict:
         return {key: getattr(self, key) for key in self.CONFIG_KEYS}
 
-    def encode(self, frames: np.ndarray):
-        """Single sequence (T, F) -> per-frame posteriors, causal."""
+    def sequence(self, frames: np.ndarray) -> Tensor:
+        """One (T, F) sequence of input frames in the model's dtype."""
         arr = frames.astype(self.dtype, copy=False)
         if arr.ndim != 2 or arr.shape[1] != self.input_dim:
             raise ValueError(f"encode: expected (T, {self.input_dim}), got {arr.shape}")
-        return self.encode_batch(Tensor(arr), n_batch=1)
+        return Tensor(arr)
+
+    def encode(self, frames: np.ndarray):
+        """Single sequence (T, F) -> per-frame posteriors, causal."""
+        return self.encode_batch(self.sequence(frames), n_batch=1)
 
 
 class VaeModel(FrameModel):
@@ -116,10 +130,14 @@ class VaeModel(FrameModel):
     def decode_batch(self, z_stack: Tensor, n_batch: int) -> GaussianParams:
         """Likelihood parameters for a time-major (T*B, L) latent stack."""
         with nn.stage("decode", n_batch):
-            h = self.dec_gru(z_stack, n_batch)
-            for layer in self.dec_fc:
-                h = layer(h, n_batch)
-            return gaussian_head(h, self.dec_mu, self.dec_logvar, n_batch)
+            return self.decode_tail(self.dec_gru(z_stack, n_batch), n_batch)
+
+    def decode_tail(self, h: Tensor, n_batch: int, variances: bool = True) -> GaussianParams:
+        """The decoder after its GRU, over a (T*B, hidden) stack of its states;
+        without `variances` only the means (var None)."""
+        for layer in self.dec_fc:
+            h = layer(h, n_batch)
+        return gaussian_head(h, self.dec_mu, self.dec_logvar if variances else None, n_batch)
 
     def decode(self, z: Tensor) -> GaussianParams:
         """Single latent sequence (T, L) -> per-frame likelihood parameters."""

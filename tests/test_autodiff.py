@@ -310,6 +310,24 @@ class TestErrorPaths:
         with pytest.raises(ad.NumericError):
             Tensor(np.array([1.0, np.inf]))
 
+    def test_gru_names_the_first_nonfinite_frame_of_any_gate(self):
+        """A candidate pre-activation that turns NaN at frame 3 makes h_3 NaN,
+        and with it the reset gate of frame 4: the error names frame 3, a
+        run split after frame 3 or not."""
+        gru = nn.GruLayer(2, 1, rng=None, dtype=np.float32)
+        gru.W_h.data[:, 0] = [1e30, -1e30]           # inf - inf at frame 3
+        gru.U_r.data[:] = 1.0
+        x = np.ones((6, 2), np.float32)
+        x[3] = 1e30
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ad.NumericError) as err:
+                ad.gru_seq(Tensor(x), gru.initial_state(1), gru.parameters())
+            assert err.value.row == 3
+            with pytest.raises(ad.NumericError) as err:
+                h = gru.recur(gru.project(Tensor(x[:4]), 1), gru.initial_state(1).data)[-1]
+                gru.recur(gru.project(Tensor(x[4:]), 1), h)
+            assert err.value.row == 3
+
 
 class TestGradCheckHarness:
     def test_sum_of_squares_passes(self, rng):

@@ -1,8 +1,10 @@
 """`parallel.fork_join`: one part in a forked child, one here, the same
-results and bytes as both run here."""
+results and bytes as both run here. `parallel.on_worker`: a stage on the
+worker thread, in order, in the caller's context."""
 
 import os
 import signal
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -160,6 +162,56 @@ class TestForkJoin:
         assert seen == [(0, 4)] and no_pool
         assert out == expected
         assert parallel._pool is not None                # the caller keeps its worker
+
+
+    def test_caller_counts_one_core_while_the_lane_runs(self, two_cores):
+        def here():
+            threads = []
+            parallel.by_frames(4, parallel._SPLIT_MACS,
+                               lambda lo, hi: threads.append(threading.current_thread().name))
+            stage = parallel.on_worker(lambda: threading.current_thread().name)
+            return parallel.cores(), threads, stage.result()
+
+        lane, (mine, threads, stage) = parallel.fork_join(parallel.cores, here, "test lane")
+        assert (lane, mine) == (1, 1)
+        assert threads == ["MainThread"] and stage == "MainThread"
+        assert parallel.cores() == 2
+
+
+class TestOnWorker:
+    def test_stages_run_on_the_worker_in_order(self, two_cores):
+        seen = []
+
+        def stage(i):
+            seen.append(i)
+            return threading.current_thread().name, parallel.cores()
+
+        futures = [parallel.on_worker(lambda i=i: stage(i)) for i in range(5)]
+        results = [future.result(timeout=10) for future in futures]
+        assert seen == list(range(5))
+        assert {name.split("_")[0] for name, _ in results} == {"pvae-frames"}
+        assert {cores for _, cores in results} == {1}
+
+    def test_split_on_the_worker_runs_inline(self, two_cores):
+        def stage():
+            parts = []
+            parallel.by_frames(4, parallel._SPLIT_MACS, lambda lo, hi: parts.append((lo, hi)))
+            return parts
+
+        assert parallel.on_worker(stage).result(timeout=10) == [(0, 4)]
+
+    def test_runs_in_the_callers_context(self, two_cores):
+        with np.errstate(over="raise"):
+            future = parallel.on_worker(lambda: np.geterr()["over"])
+        assert future.result(timeout=10) == "raise"
+
+    def test_inline_on_one_core_and_error_kept(self, one_core):
+        future = parallel.on_worker(lambda: threading.current_thread().name)
+        assert future.done() and future.result() == "MainThread"
+        failed = parallel.on_worker(lambda: {}["missing"])
+        assert failed.done()
+        with pytest.raises(KeyError, match="missing"):
+            failed.result()
 
 
 class TestWithoutAffinity:

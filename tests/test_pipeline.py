@@ -5,23 +5,29 @@ clips. Trend assertions compare epoch-window means rather than demanding
 monotonicity.
 """
 
+import re
+import threading
+
 import numpy as np
 import pytest
 from oracles import elbo_loss
+from test_parallel import set_cores
 
 import pvae.autodiff as ad
-from pvae.autodiff import Tensor
+from pvae import parallel
+from pvae.autodiff import NumericError, Tensor
 from pvae.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pvae.config import RunConfig
 from pvae.datagen import mix_at_snr, synth_dataset
 from pvae.diploss import LossWeights
-from pvae.dsp import FRAME_LEN, HOP, Waveform, lps, stft
+from pvae.dsp import (FRAME_LEN, HOP, Spectrogram, Waveform, istft, lps, lps_to_magnitude,
+                      stft, wiener_mask)
 from pvae.nsvae import NsvaeModel
-from pvae.pipeline import (ModelBundle, _run_training, enhance, enhance_details,
-                           load_bundle, make_segments, pretrain_vae,
+from pvae.pipeline import (CHUNK_FRAMES, ModelBundle, _run_training, enhance,
+                           enhance_details, load_bundle, make_segments, pretrain_vae,
                            save_bundle, train_nsvae, waveform_to_lps,
                            write_training_log)
-from pvae.vae import VaeModel
+from pvae.vae import VaeModel, reparameterize
 
 
 def tiny_cfg(**kw):
@@ -38,14 +44,14 @@ def clips(kind, n, seed, dur=0.7):
     return synth_dataset(kind, n, dur, np.random.default_rng(seed))
 
 
-def tiny_bundle(seed=0):
+def tiny_bundle(seed=0, hidden_dim=8, latent_dim=4):
     rng = np.random.default_rng(seed)
-    cvae = VaeModel(input_dim=257, hidden_dim=8, latent_dim=4, role="speech",
+    cvae = VaeModel(input_dim=257, hidden_dim=hidden_dim, latent_dim=latent_dim,
+                    role="speech", rng=rng, dtype=np.float32)
+    nvae = VaeModel(input_dim=257, hidden_dim=hidden_dim, latent_dim=latent_dim,
+                    role="noise", rng=rng, dtype=np.float32)
+    ns = NsvaeModel(input_dim=257, hidden_dim=hidden_dim, latent_dim=latent_dim,
                     rng=rng, dtype=np.float32)
-    nvae = VaeModel(input_dim=257, hidden_dim=8, latent_dim=4, role="noise",
-                    rng=rng, dtype=np.float32)
-    ns = NsvaeModel(input_dim=257, hidden_dim=8, latent_dim=4, rng=rng,
-                    dtype=np.float32)
     return ModelBundle(cvae=cvae, nvae=nvae, nsvae=ns)
 
 
@@ -257,6 +263,148 @@ class TestEnhance:
         n_frames = (len(noisy) - FRAME_LEN) // HOP + 1
         assert res.z_speech.shape == (n_frames, 4)
         assert res.z_noise.shape == (n_frames, 4)
+
+
+def whole_clip(bundle, noisy, rng=None):
+    """(samples, mask, z_speech, z_noise) of `nsvae.encode`, then `cvae.decode`
+    and `nvae.decode`, each over the whole clip."""
+    spec = stft(noisy)
+    with ad.no_grad():
+        qx, qv = bundle.nsvae.encode(lps(spec.frames).T)
+        if rng is None:
+            z_x, z_v = qx.mu, qv.mu
+        else:
+            z_x, z_v = reparameterize(qx, rng), reparameterize(qv, rng)
+        x_mag = lps_to_magnitude(bundle.cvae.decode(z_x).mu.data.T)
+        v_mag = lps_to_magnitude(bundle.nvae.decode(z_v).mu.data.T)
+    mask = wiener_mask(x_mag, v_mag)
+    return istft(Spectrogram(mask * spec.frames)).samples, mask, z_x.data, z_v.data
+
+
+def clip_of(n_frames, seed=0):
+    samples = np.random.default_rng(seed).standard_normal((n_frames - 1) * HOP + FRAME_LEN)
+    return Waveform(0.1 * samples)
+
+
+@pytest.fixture
+def stage_threads(monkeypatch):
+    """[name of the thread that ran it, future] of each stage given to
+    `parallel.on_worker`."""
+    started = []
+    on_worker = parallel.on_worker
+
+    def recording(stage):
+        entry = [None, None]
+        started.append(entry)
+
+        def run():
+            entry[0] = threading.current_thread().name
+            return stage()
+
+        entry[1] = on_worker(run)
+        return entry[1]
+
+    monkeypatch.setattr(parallel, "on_worker", recording)
+    return started
+
+
+class TestChunkedEnhance:
+    """`enhance_details` runs over chunks of `CHUNK_FRAMES` frames, its stacked
+    products on the worker thread on two cores, and gives the bytes of a
+    whole-clip call on one core and on two."""
+
+    @pytest.fixture(scope="class")
+    def bundles(self):
+        return {"h64": tiny_bundle(6, hidden_dim=64, latent_dim=16),
+                "wide": tiny_bundle(7, hidden_dim=512, latent_dim=128)}
+
+    @pytest.mark.parametrize("width", ["h64", "wide"])
+    @pytest.mark.parametrize("sampled", [False, True], ids=["mean", "sampled"])
+    @pytest.mark.parametrize("n_frames", [1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1,
+                                          3 * CHUNK_FRAMES + 8])
+    def test_bytes_of_a_whole_clip_call(self, bundles, width, sampled, n_frames,
+                                        monkeypatch, stage_threads):
+        bundle, noisy = bundles[width], clip_of(n_frames, n_frames)
+        expected = whole_clip(bundle, noisy, np.random.default_rng(3) if sampled else None)
+        n_chunks = -(-n_frames // CHUNK_FRAMES)
+        for cores, thread in ((1, "MainThread"), (2, "pvae-frames")):
+            set_cores(monkeypatch, cores)
+            stage_threads.clear()
+            res = enhance_details(bundle, noisy, np.random.default_rng(3) if sampled else None)
+            got = (res.enhanced.samples, res.mask, res.z_speech, res.z_noise)
+            assert [a.tobytes() == b.tobytes() for a, b in zip(got, expected)] == [True] * 4
+            assert len(stage_threads) == 3 * n_chunks
+            assert {name.split("_")[0] for name, _ in stage_threads} == {thread}
+
+    def test_means_skip_the_variance_heads(self):
+        """NaN variance heads leave posterior-mean enhancement as it was; the
+        sampled path still reads the encoder's variances."""
+        bundle, noisy = tiny_bundle(10), clip_of(CHUNK_FRAMES + 5)
+        expected = enhance(bundle, noisy).samples
+        for head in (bundle.nsvae.head_logvar_x, bundle.nsvae.head_logvar_v,
+                     bundle.cvae.dec_logvar, bundle.nvae.dec_logvar):
+            head.weight.data = np.full_like(head.weight.data, np.nan)
+        assert enhance(bundle, noisy).samples.tobytes() == expected.tobytes()
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="^encode frame 0: "):
+            enhance(bundle, noisy, np.random.default_rng(0))
+
+    @staticmethod
+    def plant_overflow(feeder, layer, inputs, first):
+        """Make `layer` overflow float32 first at a frame at or after `first`.
+        Its bias and its weights but one, w[i, 0] = -2**e, become 0, so that
+        its output column 0 is -inputs[:, i] * 2**e exactly: 0 after the ReLU
+        until the product overflows. `feeder`, the ReLU layer that makes
+        `inputs`, is scaled by a power of two, which scales them exactly, so
+        that 2**e fits float32."""
+        x = inputs.astype(np.float64)
+        for i in range(x.shape[1]):
+            before, during = x[:first, i].max(), x[first:first + CHUNK_FRAMES, i].max()
+            power = np.floor(np.log2(during)) if during > 0 else -np.inf
+            if 2.0 ** power > before:      # products overflow from inputs >= 2**power
+                scale = 2.0 ** max(0.0, 1.0 - power)
+                for p in (feeder.weight, feeder.bias):
+                    p.data = (p.data * scale).astype(p.data.dtype)
+                w = np.zeros_like(layer.weight.data)
+                w[i, 0] = -(2.0 ** 128) / (2.0 ** power * scale)
+                layer.weight.data, layer.bias.data = w, np.zeros_like(layer.bias.data)
+                return
+        raise AssertionError("no input grows in the second chunk")
+
+    @pytest.mark.parametrize("where", ["trunk", "speech decoder", "noise decoder"])
+    def test_numeric_error_in_a_worker_stage(self, where, monkeypatch, stage_threads):
+        """An overflow in the trunk (a chunk ahead of the recurrences) or in a
+        decoder FC layer (behind them) at a frame of the second chunk gives the
+        message of a whole-clip call, and no stage outlives the call."""
+        bundle = tiny_bundle(8, hidden_dim=64, latent_dim=16)
+        rng = np.random.default_rng(41)
+        noisy = mix_at_snr(synth_dataset("speech", 1, 3.0, rng)[0],
+                           synth_dataset("noise", 1, 3.0, rng)[0], 0.0, rng).mixture
+        quiet = noisy.samples.copy()
+        quiet[:(CHUNK_FRAMES + 6) * HOP] *= 0.01
+        noisy = Waveform(quiet)
+        y = Tensor(lps(stft(noisy).frames).T.astype(np.float32))
+        with ad.no_grad():
+            if where == "trunk":
+                feeder, layer = bundle.nsvae.trunk.fc[:2]
+                inputs = feeder(y, 1)
+            else:
+                qx, qv = bundle.nsvae.encode(y.data)
+                vae, z = (bundle.cvae, qx.mu) if where == "speech decoder" else (bundle.nvae, qv.mu)
+                feeder, layer = vae.dec_fc[:2]
+                inputs = feeder(vae.dec_gru(z, 1), 1)
+        self.plant_overflow(feeder, layer, inputs.data, CHUNK_FRAMES)
+
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as whole:
+            whole_clip(bundle, noisy)
+        frame = int(re.match(r"(?:en|de)code frame (\d+): linear_seq: ", str(whole.value))[1])
+        assert CHUNK_FRAMES <= frame < 2 * CHUNK_FRAMES
+        for cores in (1, 2):
+            set_cores(monkeypatch, cores)
+            stage_threads.clear()
+            with np.errstate(over="ignore"), pytest.raises(NumericError) as chunked:
+                enhance_details(bundle, noisy)
+            assert str(chunked.value) == str(whole.value)
+            assert stage_threads and all(future.done() for _, future in stage_threads)
 
 
 class TestBundleIo:

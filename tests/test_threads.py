@@ -2,10 +2,10 @@
 
 OpenBLAS splits long level-1 reductions such as `ddot` across its threads,
 which changes their rounding, so every reduction behind an artifact must
-run in a fixed order. The criterion-7 micro chain runs in a subprocess per
-thread count, since OpenBLAS reads its thread count once, at load. Two
-threads at most: never ask for more. The `pvae` command itself asks for one
-BLAS thread unless the caller has set a count.
+run in a fixed order. The criterion-7 micro chain and `pvae enhance` run in
+a subprocess per thread count, since OpenBLAS reads its thread count once,
+at load. Two threads at most: never ask for more. The `pvae` command itself
+asks for one BLAS thread unless the caller has set a count.
 """
 
 import os
@@ -16,7 +16,10 @@ from pathlib import Path
 import pytest
 
 import pvae
+from pvae.dsp import save_wav
+from pvae.pipeline import CHUNK_FRAMES, save_bundle
 from test_acceptance import MICRO_CFG
+from test_pipeline import clip_of, tiny_bundle
 
 SRC = str(Path(pvae.__file__).resolve().parent.parent)
 MAIN = "import sys; from pvae.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -41,6 +44,22 @@ def test_micro_chain_bytes_independent_of_blas_threads(tmp_path):
     one, two = trees
     assert sorted(one) == sorted(two)
     assert [name for name in one if one[name] != two[name]] == []
+
+
+@pytest.mark.parametrize("sample", [[], ["--sample-latent"]], ids=["mean", "sampled"])
+def test_enhance_bytes_independent_of_blas_threads(tmp_path, sample):
+    """A micro bundle enhances a clip of several chunks to the same WAV bytes."""
+    save_bundle(tmp_path / "bundle.ckpt", tiny_bundle(9))
+    save_wav(tmp_path / "noisy.wav", clip_of(3 * CHUNK_FRAMES + 10, 9))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out_{threads}" / "enhanced.wav"
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", MAIN, "enhance", "--bundle",
+                        str(tmp_path / "bundle.ckpt"), "--in", str(tmp_path / "noisy.wav"),
+                        "--out", str(out), *sample], env=env, check=True, capture_output=True)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
