@@ -20,7 +20,10 @@ array passed down the graph may be shared between nodes and leaves.
 The sequence ops hand each large stacked product (forward, input-gradient
 and weight-gradient terms) to `parallel.by_frames`, which may run half its
 frames on a second core. A frame is the same BLAS call whichever thread
-makes it, so every byte is the same as on one thread.
+makes it, so every byte is the same as on one thread. From the same
+`parallel` gate, a GRU's backward starts the six weight sums of each block
+of frames on the worker (`parallel.on_worker`) as soon as its BPTT loop has
+made that block, and waits for them before it returns.
 """
 
 from __future__ import annotations
@@ -271,12 +274,14 @@ def broadcast_rows(v: Tensor, n: int) -> Tensor:
 # (F, B) @ (B, H) product, added frame by frame), so training takes the
 # same steps to the last bit: one (F, T*B) @ (T*B, H) product would round
 # differently, and training amplifies that into different models.
-# `_sum_weight_terms` computes a block of frames' terms lhs[t].T @ d[t] as
-# one stacked product (the BLAS call a frame-by-frame loop makes, frame by
+# `_add_terms` computes a block of frames' terms lhs[t].T @ d[t] as one
+# stacked product (the BLAS call a frame-by-frame loop makes, frame by
 # frame) and adds them one by one, in frame order, into a buffer the op
-# owns. `_BLOCK_BYTES` bounds a block: all 32 frames of a 64-wide layer fit
-# in one, a 512 x 512 float32 weight takes four, and no (T, in, out) stack
-# of every frame is built. `_sum_bias_terms` adds the per-frame batch sums
+# owns; `_sum_weight_terms` runs it block after block here, and
+# `_StreamedSums` on the worker while a GRU's BPTT loop runs. `_BLOCK_BYTES`
+# bounds a block: all 32 frames of a 64-wide layer fit in one, a 512 x 512
+# float32 weight takes four, and no (T, in, out) stack of every frame is
+# built. `_sum_bias_terms` adds the per-frame batch sums
 # with `np.add.accumulate`, which is sequential; `np.add.reduce` over the
 # frames would sum pairwise when a row has one element. Each binds the
 # parameter's `grad` once per op.
@@ -301,29 +306,110 @@ def _check_params(op: str, x: Tensor, params: Sequence[Tensor],
 _BLOCK_BYTES = 4 << 20      # bytes of stacked weight terms computed at once
 
 
+def _add_terms(acc: np.ndarray, fresh: bool, terms: np.ndarray, lhs: np.ndarray,
+               d: np.ndarray, split: Callable | None) -> None:
+    """Add the per-frame terms lhs[t].T @ d[t] of a block of frames of the
+    (k, B, .) stacks to `acc`, in the order of the frames: one stacked
+    product into `terms` (through `split(n_frames, macs, part)`, or here if
+    None), then one add per frame. With `fresh` the first term is copied into
+    `acc`, which starts the sum."""
+    lhs_t, n_frames = lhs.transpose(0, 2, 1), len(d)
+
+    def product(a, b):
+        np.matmul(lhs_t[a:b], d[a:b], out=terms[a:b])
+
+    if split is None:
+        product(0, n_frames)
+    else:
+        split(n_frames, lhs_t.size * d.shape[-1], product)
+    for i, term in enumerate(terms[:n_frames]):
+        if fresh and not i:
+            np.copyto(acc, term)
+        else:
+            np.add(acc, term, out=acc)
+
+
+def _accumulator(p: Tensor) -> tuple[np.ndarray, bool]:
+    """A buffer for `p`'s gradient sum, and whether the sum starts there
+    (no G): a copy of G = `p.grad` when set, so the array `grad` points to
+    is never written."""
+    if p.grad is None:
+        return np.empty_like(p.data), True
+    return p.grad.copy(), False
+
+
 def _sum_weight_terms(p: Tensor, lhs: np.ndarray, d: np.ndarray) -> None:
     """Add the per-frame terms lhs[t].T @ d[t] of weight `p` in the order of
     the frames of the (T, B, .) stacks: ((G + g_0) + g_1) + ..., G being
-    `p.grad` if set; reversed views give last-frame-first order.
-
-    The sum grows in a buffer this call owns, a copy of G when there is one,
-    so no array that `grad` ever pointed to is written; `grad` is bound once
-    at the end.
+    `p.grad` if set; reversed views give last-frame-first order. The sum
+    grows in a buffer of its own (`_accumulator`); `grad` is bound once at
+    the end.
     """
-    if not p.requires_grad:
-        return
     n_frames = len(d)
+    if not p.requires_grad or not n_frames:
+        return
     per_block = max(1, _BLOCK_BYTES // (p.data.size * p.data.itemsize))
     terms = np.empty((min(per_block, n_frames),) + p.data.shape, p.data.dtype)
-    acc = None if p.grad is None else p.grad.copy()
+    acc, fresh = _accumulator(p)
     for lo in range(0, n_frames, per_block):
         hi = min(lo + per_block, n_frames)
-        lhs_t, d_block = lhs[lo:hi].transpose(0, 2, 1), d[lo:hi]
-        parallel.by_frames(hi - lo, lhs_t.size * d.shape[-1],
-                           lambda a, b: np.matmul(lhs_t[a:b], d_block[a:b], out=terms[a:b]))
-        for term in terms[:hi - lo]:
-            acc = term.copy() if acc is None else np.add(acc, term, out=acc)
+        _add_terms(acc, fresh and not lo, terms, lhs[lo:hi], d[lo:hi], parallel.by_frames)
     p.grad = acc
+
+
+class _StreamedSums:
+    """The weight sums of a GRU backward, (p, lhs, d) each, run on the worker
+    block by block while the BPTT loop makes the d rows of the frames below.
+
+    Blocks run from the last frame down, in the order they are started, so
+    each parameter's sum keeps the order ((G + g_{T-1}) + g_{T-2}) + ... of
+    `_sum_weight_terms`. A block is the frames whose terms of the largest
+    weight fit in `_BLOCK_BYTES`. The caller allocates the accumulators and
+    the one term buffer that the blocks share: the worker runs one block at
+    a time, and a task that allocates on the worker would grow a malloc
+    arena of that thread.
+    """
+
+    def __init__(self, weights: Sequence[tuple[Tensor, np.ndarray, np.ndarray]],
+                 n_frames: int):
+        self.weights = [w for w in weights if w[0].requires_grad]
+        self.accs = [_accumulator(p) for p, _, _ in self.weights]
+        largest = max(p.data.size for p, _, _ in self.weights)
+        itemsize = self.weights[0][0].data.itemsize
+        self.per_block = max(1, _BLOCK_BYTES // (largest * itemsize))
+        self.terms = np.empty(min(self.per_block, n_frames) * largest,
+                              self.weights[0][0].data.dtype)
+        self.n_frames = self.hi = n_frames
+        self.futures: list = []
+
+    def made(self, t: int) -> None:
+        """Frame t's d rows exist, and those of every frame above it: start
+        the block that t completes."""
+        if self.hi - t < self.per_block and t:
+            return
+        lo, hi = t, self.hi
+        self.futures.append(parallel.on_worker(lambda: self._block(lo, hi)))
+        self.hi = t
+
+    def _block(self, lo: int, hi: int) -> None:
+        for (p, lhs, d), (acc, fresh) in zip(self.weights, self.accs):
+            terms = self.terms[:(hi - lo) * p.data.size].reshape((hi - lo,) + p.data.shape)
+            _add_terms(acc, fresh and hi == self.n_frames, terms,
+                       lhs[lo:hi][::-1], d[lo:hi][::-1], None)
+
+    def wait(self) -> BaseException | None:
+        """Wait for every block started; the first one's error, if any."""
+        errors = [f.exception() for f in self.futures]
+        return next((e for e in errors if e is not None), None)
+
+    def finish(self) -> None:
+        """Wait for every block; raise the first error, or bind each sum as
+        its parameter's `grad`."""
+        error = self.wait()
+        if error is not None:
+            raise error
+        for (p, _, _), (acc, _) in zip(self.weights, self.accs):
+            p.grad = acc
 
 
 def _sum_bias_terms(p: Tensor, d: np.ndarray) -> None:
@@ -444,7 +530,10 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
     consecutive runs of frames that carry the state. The gates are not fused
     into one [W_r|W_z|W_h] product: at some small widths BLAS rounds that
     differently from the three separate products. The backward pass is
-    backpropagation through time into x, h0 and all nine weights.
+    backpropagation through time into x, h0 and all nine weights. From
+    `parallel`'s gate the worker sums the six weight gradients, block by
+    block, while the loop goes on (`_StreamedSums`); below it, or on one
+    core, they are summed here after the loop. The bytes are the same.
     """
     W_r, W_z, W_h, U_r, U_z, U_h, b_r, b_z, b_h = params
     H = W_r.data.shape[-1]
@@ -461,41 +550,55 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
     def back(g):
         g3 = g.reshape(n_frames, n_batch, H)
         d_r, d_z, d_h = (np.empty_like(a_h) for _ in range(3))  # d pre-activations
-        to_prev = ()                   # frame t+1's terms of dL/dh_t
-        # each line repeats the per-frame graph's ops in its order (dh*c +
-        # -(dh*h), not dh*(c-h)), so the gradients keep their bytes
-        last_first = range(n_frames - 1, -1, -1)
-        for t in last_first:
-            dh = g3[t]
-            for term in to_prev:
-                dh = dh + term
-            h, r, z, c = hs[t], rs[t], zs[t], cands[t]
-            d_z[t] = ((dh * c + -(dh * h)) * z) * (1.0 - z)
-            d_h[t] = (dh * z) * (1.0 - c * c)
-            d_rh = d_h[t] @ U_h.data.T
-            d_r[t] = ((d_rh * h) * r) * (1.0 - r)
-            to_prev = (dh * (1.0 - z), d_z[t] @ U_z.data.T, d_rh * r, d_r[t] @ U_r.data.T)
-        # the weight terms, each parameter in one pass from the last frame
-        # down; in the per-frame graph, b_h's arrive from frame 0 up
         h_prev = hs[:-1]
-        rh = rs * h_prev
-        for p, lhs, d in ((W_r, x3, d_r), (W_z, x3, d_z), (W_h, x3, d_h),
-                          (U_r, h_prev, d_r), (U_z, h_prev, d_z), (U_h, rh, d_h)):
-            _sum_weight_terms(p, lhs[::-1], d[::-1])
-        for p, d in ((b_r, d_r[::-1]), (b_z, d_z[::-1]), (b_h, d_h)):
-            _sum_bias_terms(p, d)
-        for term in to_prev:
-            _accumulate(h0, term)
-        if x.requires_grad:
-            gx = np.empty_like(x3)
+        weights = ((W_r, x3, d_r), (W_z, x3, d_z), (W_h, x3, d_h),
+                   (U_r, h_prev, d_r), (U_z, h_prev, d_z), (U_h, rs * h_prev, d_h))
+        # from `_SPLIT_MACS` on, the worker sums each block of weight terms
+        # as soon as the loop has made its d rows
+        streamed = n_frames and parallel.splits(n_frames * n_batch * max(n_in, H) * H) \
+            and any(p.requires_grad for p, _, _ in weights)
+        sums = _StreamedSums(weights, n_frames) if streamed else None
+        to_prev = ()                   # frame t+1's terms of dL/dh_t
+        try:
+            # each line repeats the per-frame graph's ops in its order (dh*c
+            # + -(dh*h), not dh*(c-h)), so the gradients keep their bytes
+            for t in range(n_frames - 1, -1, -1):
+                dh = g3[t]
+                for term in to_prev:
+                    dh = dh + term
+                h, r, z, c = hs[t], rs[t], zs[t], cands[t]
+                d_z[t] = ((dh * c + -(dh * h)) * z) * (1.0 - z)
+                d_h[t] = (dh * z) * (1.0 - c * c)
+                d_rh = d_h[t] @ U_h.data.T
+                d_r[t] = ((d_rh * h) * r) * (1.0 - r)
+                to_prev = (dh * (1.0 - z), d_z[t] @ U_z.data.T, d_rh * r, d_r[t] @ U_r.data.T)
+                if sums is not None:
+                    sums.made(t)
+            if sums is None:
+                # each parameter in one pass from the last frame down
+                for p, lhs, d in weights:
+                    _sum_weight_terms(p, lhs[::-1], d[::-1])
+            # in the per-frame graph, b_h's terms arrive from frame 0 up
+            for p, d in ((b_r, d_r[::-1]), (b_z, d_z[::-1]), (b_h, d_h)):
+                _sum_bias_terms(p, d)
+            for term in to_prev:
+                _accumulate(h0, term)
+            if x.requires_grad:
+                gx = np.empty_like(x3)
 
-            def input_grad(lo, hi):    # (d_z W_zᵀ + d_h W_hᵀ) + d_r W_rᵀ, per frame
-                out = np.matmul(d_z[lo:hi], W_z.data.T, out=gx[lo:hi])
-                out += np.matmul(d_h[lo:hi], W_h.data.T)
-                out += np.matmul(d_r[lo:hi], W_r.data.T)
+                def input_grad(lo, hi):    # (d_z W_zᵀ + d_h W_hᵀ) + d_r W_rᵀ, per frame
+                    out = np.matmul(d_z[lo:hi], W_z.data.T, out=gx[lo:hi])
+                    out += np.matmul(d_h[lo:hi], W_h.data.T)
+                    out += np.matmul(d_r[lo:hi], W_r.data.T)
 
-            parallel.by_frames(n_frames, 3 * x3.size * H, input_grad)
-            _accumulate(x, gx.reshape(-1, n_in))
+                parallel.by_frames(n_frames, 3 * x3.size * H, input_grad)
+                _accumulate(x, gx.reshape(-1, n_in))
+        except BaseException:
+            if sums is not None:
+                sums.wait()            # no block may outlive the backward
+            raise
+        if sums is not None:
+            sums.finish()
 
     return _result(hs[1:].reshape(-1, H), (x, h0, *params), back, "gru_seq", scanned=True)
 

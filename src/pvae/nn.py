@@ -9,14 +9,18 @@ frame-by-frame loop would, so the output for frame t never changes when
 later frames are appended: the encoders are causal bit for bit. Large
 stacked products (x @ W, input and weight gradients) may run half their
 frames on the second core (`parallel.by_frames`), with the same bytes; the
-h @ U recurrence stays on the caller. A GRU's forward also runs in its two
-parts, `project` and `recur`, the recurrence from a given state, so that a
-sequence can run in chunks of frames with the bytes of one call.
+h @ U recurrence stays on the caller. During a wide GRU's backward the
+second core sums the weight gradients while the caller runs the BPTT loop,
+and a wide `Adam.step` updates half its parameters there. A GRU's forward
+also runs in its two parts, `project` and `recur`, the recurrence from a
+given state, so that a sequence can run in chunks of frames with the bytes
+of one call.
 
 The training step never writes an array a caller may hold: the ops sum
 gradients in buffers they own and bind `grad` once, `clip_grad_norm` binds
 a new `grad`, and `Adam` writes only its own moment buffers and binds a new
-`p.data`.
+`p.data`. `clip_grad_norm` raises on a non-finite gradient and `Adam`
+checks every gradient before it writes anything.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import NumericError, Tensor
 
 
@@ -196,7 +201,8 @@ def clip_grad_norm(params: list[Tensor], max_norm: float = 5.0) -> float:
 
     Returns the pre-clip norm. Parameters without gradients are skipped.
     A scaled gradient is a new array bound to `grad`; the old one is not
-    written.
+    written. A non-finite norm raises `NumericError` before any gradient is
+    scaled, naming the first parameter with a non-finite gradient.
     """
     total = 0.0
     for p in params:
@@ -204,6 +210,11 @@ def clip_grad_norm(params: list[Tensor], max_norm: float = 5.0) -> float:
             sq = p.grad.astype(np.float64)         # a copy, so squared in place
             total += float(np.sum(np.square(sq, out=sq)))
     norm = float(np.sqrt(total))
+    if not np.isfinite(norm):
+        bad = [i for i, p in enumerate(params)
+               if p.grad is not None and not np.isfinite(p.grad).all()]
+        where = f"parameter {bad[0]}: non-finite gradient" if bad else "the norm overflows"
+        raise NumericError(f"clip_grad_norm: {where}")
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params:
@@ -223,7 +234,8 @@ class Adam:
     ADAM_* constants. Zero gradients leave parameters exactly unchanged
     because m and v stay zero. `m` and `v` are updated in place; `p.data`
     is rebound to a new array. A gradient must match its parameter in
-    shape and dtype.
+    shape and dtype. Each update is elementwise, so the worker may run some
+    of them (`step`) with the same bytes.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-4):
@@ -234,36 +246,64 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        self.t += 1
-        b1t = 1.0 - ADAM_BETA1 ** self.t
-        b2t = 1.0 - ADAM_BETA2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
+        """One update of every parameter with a gradient. Every gradient is
+        checked before anything is written, so a rejected step leaves `t`,
+        `m`, `v` and every `p.data` as they were. From `_SPLIT_MACS` (an
+        update's 14 elementwise passes counted as multiply-adds), with two
+        cores, the worker updates the second of two runs of parameters of
+        about equal size while this thread updates the first."""
+        todo = [i for i, p in enumerate(self.params) if p.grad is not None]
+        for i in todo:
+            p, g = self.params[i], self.params[i].grad
             if g.shape != p.data.shape:
                 raise ValueError(f"adam: parameter {i}: gradient shape {g.shape} does not "
                                  f"match parameter shape {p.data.shape}")
             if g.dtype != p.data.dtype:
                 raise ValueError(f"adam: parameter {i}: gradient dtype {g.dtype} does not "
                                  f"match parameter dtype {p.data.dtype}")
+        self.t += 1
+        sizes = np.cumsum([self.params[i].data.size for i in todo])
+        if not todo or not parallel.splits(14 * int(sizes[-1])):
+            self._update(todo)
+            return
+        cut = int(np.argmin(np.abs(2 * sizes - sizes[-1]))) + 1
+        # the caller allocates what the worker fills, so the worker thread
+        # grows no malloc arena of its own
+        buffers = [[np.empty_like(self.params[i].data) for _ in range(3)] for i in todo[cut:]]
+        second = parallel.on_worker(lambda: self._update(todo[cut:], buffers))
+        try:
+            self._update(todo[:cut])
+        finally:
+            error = second.exception()
+        if error is not None:
+            raise error
+
+    def _update(self, indices: list[int], buffers: list | None = None) -> None:
+        """Update the parameters `indices`, each with its (tmp, den, new data)
+        arrays from `buffers`, or new ones."""
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
+        for k, i in enumerate(indices):
+            p, m, v = self.params[i], self.m[i], self.v[i]
+            g = p.grad
+            tmp, den, new = (np.empty_like(p.data) for _ in range(3)) if buffers is None \
+                else buffers[k]
             # the ops of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
             # p - lr*m_hat / (sqrt(v_hat) + eps), in their order, in place
-            m, v = self.m[i], self.v[i]
-            tmp = np.multiply(g, 1.0 - ADAM_BETA1)
+            np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
             m *= ADAM_BETA1
             m += tmp
             np.multiply(g, g, out=tmp)
             tmp *= 1.0 - ADAM_BETA2
             v *= ADAM_BETA2
             v += tmp
-            den = np.divide(v, b2t)
+            np.divide(v, b2t, out=den)
             np.sqrt(den, out=den)
             den += ADAM_EPS
             step = np.divide(m, b1t, out=tmp)
             step *= self.lr
             step /= den
-            p.data = p.data - step         # rebound: callers may hold the old array
+            p.data = np.subtract(p.data, step, out=new)  # rebound: callers may hold the old array
 
     def zero_grad(self) -> None:
         for p in self.params:

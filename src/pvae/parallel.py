@@ -10,8 +10,13 @@ The sequence ops of `autodiff` route every stacked product through it.
 `on_worker(stage)` starts `stage()` on the same worker and returns its
 future; the worker runs stages in the order they were started. The
 chunked enhancement chain of `pipeline` runs its stacked products this way
-while the caller runs the GRU recurrences. The worker counts one core, so
-a split or a stage started on it runs inline.
+while the caller runs the GRU recurrences. In training, a GRU's backward
+sends each block of its weight sums there while the caller runs the BPTT
+loop, and `nn.Adam.step` the second half of its parameters. Both ask
+`splits(macs)` first, the gate of `by_frames`, and allocate every array a
+task fills on the caller, so the worker thread grows no malloc arena of its
+own. The worker counts one core, so a split or a stage started on it runs
+inline.
 
 `fork_join(lane, here, name)` runs `lane()` in a forked child, the lane,
 while this process runs `here()`, and returns both results. The child
@@ -99,13 +104,19 @@ def on_worker(stage: Callable[[], A]) -> Future[A]:
     return done
 
 
+def splits(macs: int) -> bool:
+    """Whether work of `macs` multiply-adds goes (in part) to the worker: from
+    `_SPLIT_MACS` on, where `cores()` reads 2 or more."""
+    return macs >= _SPLIT_MACS and cores() > 1
+
+
 def by_frames(n_frames: int, macs: int, part: Callable[[int, int], object]) -> None:
     """Run `part(lo, hi)` over frames [0, n_frames) of a (T, B, .) stack, inline
     below `_SPLIT_MACS` multiply-adds or where `cores()` reads 1; else the
     second half on the worker, in the caller's context (`np.errstate`), and
     the first half here. Returns or raises once both are done; the worker's
     error is raised here."""
-    pool = _worker() if macs >= _SPLIT_MACS and n_frames > 1 else None
+    pool = _worker() if n_frames > 1 and splits(macs) else None
     if pool is None:
         part(0, n_frames)
         return

@@ -402,6 +402,49 @@ def frame_mode(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture
+def worker_tasks(monkeypatch):
+    """[thread ident, future] of each task given to `parallel.on_worker`."""
+    started = []
+    on_worker = parallel.on_worker
+
+    def recording(task):
+        entry = [None, None]
+        started.append(entry)
+
+        def run():
+            entry[0] = threading.get_ident()
+            return task()
+
+        entry[1] = on_worker(run)
+        return entry[1]
+
+    monkeypatch.setattr(parallel, "on_worker", recording)
+    return started
+
+
+def _gru_runs(run, dtype, n_frames, n_batch):
+    """`TestFrameSplit.run` of a 5-to-6 GRU over a random stack, from `gru_seq`
+    and from the per-frame tape."""
+    r = np.random.default_rng(10 * n_frames + n_batch)
+    gru = nn.GruLayer(5, 6, rng=r, dtype=dtype)
+    for b in (gru.b_r, gru.b_z, gru.b_h):
+        b.data = r.uniform(-0.5, 0.5, size=6).astype(dtype)
+    x = Tensor(r.normal(size=(n_frames * n_batch, 5)).astype(dtype), requires_grad=True)
+    h0 = Tensor(r.normal(size=(n_batch, 6)).astype(dtype), requires_grad=True)
+    w = Tensor(r.normal(size=(n_frames * n_batch, 6)).astype(dtype))
+
+    def tape(x):
+        h, outs = h0, []
+        for t in range(n_frames):
+            h = tape_reference.gru_step(gru, slice_rows(x, t * n_batch, (t + 1) * n_batch), h)
+            outs.append(h)
+        return concat(outs, axis=0)
+
+    return (run(lambda x: ad.gru_seq(x, h0, gru.parameters()), x, w, gru, h0),
+            run(tape, x, w, gru, h0))
+
+
 def _split_linear_in_child():
     x = Tensor(np.ones((8, 3)))
     layer = nn.LinearLayer(3, 4, rng=np.random.default_rng(0))
@@ -525,6 +568,66 @@ class TestFrameSplit:
                 layer(Tensor(x), 2)
         assert err.value.row == 14
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_frames", [1, 3, 4, 5, 32])
+    def test_streamed_weight_sums_match_per_frame_tape(self, frame_mode, dtype, n_frames,
+                                                       worker_tasks):
+        """With the gate forced open on two cores the GRU's six weight sums
+        run on the worker, one task per block of frames, last block first;
+        on one core they run here, as below the gate. Either way every
+        gradient has the per-frame tape's bytes."""
+        seq, tape = _gru_runs(self.run, dtype, n_frames, 16)
+        assert seq == tape
+        per_block = ad._BLOCK_BYTES // (6 * 6 * np.dtype(dtype).itemsize)
+        on_worker = [thread != threading.get_ident() for thread, _ in worker_tasks]
+        if frame_mode == "split":
+            assert on_worker == [True] * -(-n_frames // per_block)
+        else:
+            assert on_worker == []
+
+    def test_error_in_a_worker_block_is_raised_by_backward(self, split, worker_tasks,
+                                                           monkeypatch):
+        """An overflow in one block's weight terms, on the worker, is raised
+        by `backward`, and no block outlives it. Input 0 has zero weights, so
+        a huge value there overflows only the terms x[t].T @ d[t] of W."""
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 2 * 6 * 6 * 8)     # blocks of 2 frames
+        r = np.random.default_rng(2)
+        gru = nn.GruLayer(5, 6, rng=r)
+        for w in (gru.W_r, gru.W_z, gru.W_h):
+            w.data[0] = 0.0
+        n_frames, n_batch = 9, 2
+        x = r.normal(size=(n_frames * n_batch, 5))
+        x[2 * n_batch:3 * n_batch, 0] = 1e300          # frame 2, in the fourth block
+        loss = ad.tsum(ad.mul(gru(Tensor(x), n_batch),
+                              Tensor(np.full((n_frames * n_batch, 6), 1e10))))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            ad.backward(loss)
+        assert len(worker_tasks) == 5 and all(f.done() for _, f in worker_tasks)
+        assert all(p.grad is None for p in gru.parameters()[:6])
+
+    def test_caller_error_waits_for_the_blocks(self, split, worker_tasks, monkeypatch):
+        """An error on the caller during the BPTT loop propagates only after
+        every block started on the worker has finished."""
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 2 * 6 * 6 * 8)     # blocks of 2 frames
+        block, made = ad._StreamedSums._block, ad._StreamedSums.made
+
+        def slow_block(sums, lo, hi):
+            time.sleep(0.05)
+            block(sums, lo, hi)
+
+        def failing_made(sums, t):
+            made(sums, t)
+            if t == 4:
+                raise RuntimeError("caller")
+
+        monkeypatch.setattr(ad._StreamedSums, "_block", slow_block)
+        monkeypatch.setattr(ad._StreamedSums, "made", failing_made)
+        gru = nn.GruLayer(5, 6, rng=np.random.default_rng(3))
+        x = Tensor(np.random.default_rng(4).normal(size=(18, 5)))
+        with pytest.raises(RuntimeError, match="caller"):
+            ad.backward(ad.tsum(gru(x, 2)))
+        assert len(worker_tasks) == 2 and all(f.done() for _, f in worker_tasks)
 
     def test_forked_child_runs_a_split(self, split):
         _split_linear_in_child()             # the worker thread now exists

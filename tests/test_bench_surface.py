@@ -9,6 +9,8 @@ so a rename or move in `pvae` fails here in well under a second.
 
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,15 @@ def test_step_loss_takes_its_batch_positionally(patches, module, attr, batch_arg
     params = list(inspect.signature(fn).parameters.values())
     assert batch_arg < len(params), f"{attr} has no argument {batch_arg}"
     assert params[batch_arg].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_round_parts_times_every_part_of_a_train_wide_round():
+    """`scripts/round_parts.py` builds `workloads.TrainWide` and reads its
+    models, optimisers and batches; one round prints every part."""
+    script = SPANS_PATH.parents[1] / "scripts" / "round_parts.py"
+    out = subprocess.run([sys.executable, str(script), "--rounds", "1", "--warmup", "0"],
+                         check=True, capture_output=True, text=True).stdout
+    names = [line.rsplit(None, 1)[0].strip() for line in out.splitlines()[1:]]
+    assert names == ["dip forward", "dip backward", "dip clip", "dip adam",
+                     "perm nsvae forward", "perm target encodes", "perm backward",
+                     "perm clip", "perm adam", "round"]

@@ -1,5 +1,8 @@
 """Layer, initializer, and optimizer tests."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +11,34 @@ from hypothesis import strategies as st
 import tape_reference
 from gradcheck import grad_check
 from pvae import autodiff as ad
-from pvae import nn
-from pvae.autodiff import Tensor
+from pvae import nn, parallel
+from pvae.autodiff import NumericError, Tensor
 
 
 def t64(data, req=True):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=req)
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """The gate forced open on two cores, with a worker of the test's own:
+    the GRU's weight sums and Adam's second run go to it. Yields the thread
+    ident of each task given to `parallel.on_worker`."""
+    ran = []
+    on_worker = parallel.on_worker
+
+    def recording(task):
+        def run():
+            ran.append(threading.get_ident())
+            return task()
+        return on_worker(run)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        monkeypatch.setattr(parallel, "_pool", pool)
+        monkeypatch.setattr(parallel, "_SPLIT_MACS", 0)
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(parallel, "on_worker", recording)
+        yield ran
 
 
 class TestInitParameters:
@@ -224,6 +249,15 @@ class TestClipGradNorm:
         np.testing.assert_allclose(np.linalg.norm(p.grad), 5.0, rtol=1e-12)
 
 
+    def test_overflowing_norm_rejected(self):
+        p = t64(np.zeros(2))
+        p.grad = np.array([1e200, 1.0])
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="^clip_grad_norm: the norm overflows"):
+            nn.clip_grad_norm([p], max_norm=5.0)
+        np.testing.assert_array_equal(p.grad, [1e200, 1.0])
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self, rng):
         p = t64(rng.normal(size=(3,)))
@@ -348,6 +382,17 @@ class TestGradientBuffers:
         held = [r.normal(size=p.data.shape).astype(dtype) for p in gru.parameters()]
         assert self.mismatches(gru, xs, weights, n_batch, held) == []
 
+    def test_streamed_sums_match_per_frame_tape(self, dtype, n_batch, worker, monkeypatch):
+        # blocks of 2 frames of weight sums on the worker; the GRU is called
+        # twice in one graph, and then again from held grads
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 2 * 8 * 8 * np.dtype(dtype).itemsize)
+        _, gru, xs, weights = self.setup_layers(dtype, n_batch)
+        r = np.random.default_rng(12)
+        held = [r.normal(size=p.data.shape).astype(dtype) for p in gru.parameters()]
+        assert self.mismatches(gru, xs, weights, n_batch) == []
+        assert self.mismatches(gru, xs, weights, n_batch, held) == []
+        assert len(worker) == 2 * 2 * 3 and threading.get_ident() not in worker
+
     def test_held_and_shared_grads_never_written(self, dtype, n_batch):
         linear, gru, xs, weights = self.setup_layers(dtype, n_batch)
         for layer in (linear, gru):
@@ -455,6 +500,71 @@ class TestOptimiserBitwise:
         params[2].grad = np.zeros(params[2].data.shape, dtype=other)
         with pytest.raises(ValueError, match="^adam: parameter 2: gradient dtype"):
             opt.step()
+
+    def test_split_adam_steps_match_reference(self, dtype, worker):
+        """With the gate forced open, the worker updates the second run of
+        parameters, with the same bytes."""
+        r = np.random.default_rng(3)
+        params = _param_set(dtype, r)
+        twins = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+        opt, ref = nn.Adam(params, lr=3e-3), _ReferenceAdam(twins, lr=3e-3)
+        for step in range(4):
+            for p, twin in zip(params, twins):
+                p.grad = r.normal(size=p.data.shape).astype(dtype)
+                twin.grad = p.grad.copy()
+            opt.step()
+            ref.step()
+            for i, (p, twin) in enumerate(zip(params, twins)):
+                assert p.data.tobytes() == twin.data.tobytes(), f"step {step} param {i}"
+                assert opt.m[i].tobytes() == ref.m[i].tobytes()
+                assert opt.v[i].tobytes() == ref.v[i].tobytes()
+        assert len(worker) == 4 and threading.get_ident() not in worker
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-run", "split"])
+    @pytest.mark.parametrize("bad", ["shape", "dtype"])
+    def test_rejected_adam_step_writes_nothing(self, dtype, split, bad, request):
+        if split:
+            request.getfixturevalue("worker")
+        r = np.random.default_rng(7)
+        params = _param_set(dtype, r)
+        opt = nn.Adam(params, lr=3e-3)
+        for _ in range(2):
+            for p in params:
+                p.grad = r.normal(size=p.data.shape).astype(dtype)
+            opt.step()
+        before = [p.data for p in params]
+        state = [[a.tobytes() for a in arrays] for arrays in (before, opt.m, opt.v)]
+        other = np.float64 if dtype == np.float32 else np.float32
+        params[3].grad = np.zeros(5, dtype) if bad == "shape" else np.zeros(4, other)
+        with pytest.raises(ValueError, match=f"^adam: parameter 3: gradient {bad}"):
+            opt.step()
+        assert opt.t == 2
+        assert all(p.data is d for p, d in zip(params, before))
+        assert [[a.tobytes() for a in arrays] for arrays in (before, opt.m, opt.v)] == state
+
+    def test_error_in_the_workers_run_is_raised_by_step(self, dtype, worker):
+        params = _param_set(dtype, np.random.default_rng(8))
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        params[3].grad[0] = np.finfo(dtype).max               # g*g overflows
+        opt = nn.Adam(params)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            opt.step()
+        assert len(worker) == 1 and threading.get_ident() not in worker
+
+    def test_clip_rejects_a_non_finite_gradient(self, dtype):
+        """An infinite gradient raises before anything is scaled; before,
+        5/inf = 0 scaled it to NaN and Adam wrote NaN parameters."""
+        params = [Tensor(np.zeros(3, dtype), requires_grad=True),
+                  Tensor(np.zeros((2, 2), dtype), requires_grad=True)]
+        params[0].grad = np.full(3, 100.0, dtype)
+        params[1].grad = np.array([[np.inf, 1], [1, 1]], dtype)
+        held = [p.grad for p in params]
+        held_bytes = [g.tobytes() for g in held]
+        with pytest.raises(NumericError, match="^clip_grad_norm: parameter 1: non-finite"):
+            nn.clip_grad_norm(params, max_norm=5.0)
+        assert all(p.grad is g for p, g in zip(params, held))
+        assert [g.tobytes() for g in held] == held_bytes
 
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 100.0])
     def test_clip_matches_reference(self, dtype, scale):

@@ -1,6 +1,7 @@
 """`parallel.fork_join`: one part in a forked child, one here, the same
 results and bytes as both run here. `parallel.on_worker`: a stage on the
-worker thread, in order, in the caller's context."""
+worker thread, in order, in the caller's context. Training at a width above
+the gate: the same bytes with the worker as without it."""
 
 import os
 import signal
@@ -13,10 +14,14 @@ import numpy as np
 import pytest
 
 import pvae.cli
-from pvae import parallel
+from pvae import autodiff as ad
+from pvae import diploss, nn, parallel
 from pvae.autodiff import NumericError, Tensor
 from pvae.config import load_config
+from pvae.dsp import F_BINS
 from pvae.nn import LinearLayer
+from pvae.nsvae import NsvaeModel, permutation_loss
+from pvae.vae import VaeModel
 from test_acceptance import MICRO_CFG
 
 
@@ -286,3 +291,48 @@ class TestCommandsInLanes:
             errs[cores] = capsys.readouterr().err
         assert len(forks) == 1
         assert errs[1] == errs[2] == "error: exp: non-finite result in speech pretraining\n"
+
+
+def wide_training_bytes() -> bytes:
+    """Parameter bytes after two DIP steps of a speech VAE and two permutation
+    steps of an NSVAE against two frozen VAEs, at H=256, T=8, B=16: each
+    256 x 256 GRU weight sum is 8.4M multiply-adds, above `_SPLIT_MACS`, so
+    on two cores the worker sums the GRU weights and runs Adam's second run."""
+    r = np.random.default_rng(5)
+    vae, cvae, nvae = (VaeModel(F_BINS, 256, 32, role, rng=r, dtype=np.float32)
+                       for role in ("speech", "speech", "noise"))
+    ns = NsvaeModel(F_BINS, 256, 32, rng=r, dtype=np.float32)
+    cvae.freeze()
+    nvae.freeze()
+    y, x, v = (r.normal(size=(16, 8, F_BINS)).astype(np.float32) for _ in range(3))
+    eps = np.random.default_rng(6)
+    for model, loss in ((vae, lambda: diploss.dip_total_loss(vae, x, diploss.SETTINGS[2], eps)),
+                        (ns, lambda: permutation_loss(ns, cvae, nvae, y, x, v))):
+        opt = nn.Adam(model.parameters(), lr=1e-3)
+        for _ in range(2):
+            opt.zero_grad()
+            ad.backward(loss())
+            nn.clip_grad_norm(opt.params, 5.0)
+            opt.step()
+    return b"".join(p.data.tobytes() for model in (vae, ns) for p in model.parameters())
+
+
+class TestWideTraining:
+    def test_same_bytes_with_and_without_the_worker(self, monkeypatch):
+        tasks = []
+        on_worker = parallel.on_worker
+
+        def recording(task):
+            tasks.append(task)
+            return on_worker(task)
+
+        monkeypatch.setattr(parallel, "on_worker", recording)
+        runs = {}
+        for cores in (2, 1):
+            set_cores(monkeypatch, cores)
+            tasks.clear()
+            runs[cores] = wide_training_bytes()
+            # a step on two cores: one block of weight sums per GRU (2 in a
+            # DIP step, 1 in a permutation step) and Adam's second run
+            assert len(tasks) == (2 * (2 + 1) + 2 * (1 + 1) if cores == 2 else 0)
+        assert runs[1] == runs[2]

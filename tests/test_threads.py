@@ -2,9 +2,9 @@
 
 OpenBLAS splits long level-1 reductions such as `ddot` across its threads,
 which changes their rounding, so every reduction behind an artifact must
-run in a fixed order. The criterion-7 micro chain and `pvae enhance` run in
-a subprocess per thread count, since OpenBLAS reads its thread count once,
-at load. Two threads at most: never ask for more. The `pvae` command itself
+run in a fixed order. The criterion-7 micro chain, `pvae enhance` and the
+training steps of `test_parallel.wide_training_bytes` run in a subprocess
+per thread count, since OpenBLAS reads its thread count once, at load. Two threads at most: never ask for more. The `pvae` command itself
 asks for one BLAS thread unless the caller has set a count.
 """
 
@@ -22,6 +22,7 @@ from test_acceptance import MICRO_CFG
 from test_pipeline import clip_of, tiny_bundle
 
 SRC = str(Path(pvae.__file__).resolve().parent.parent)
+TESTS = str(Path(__file__).resolve().parent)
 MAIN = "import sys; from pvae.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -60,6 +61,20 @@ def test_enhance_bytes_independent_of_blas_threads(tmp_path, sample):
                         "--out", str(out), *sample], env=env, check=True, capture_output=True)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_wide_training_bytes_independent_of_blas_threads():
+    """DIP and permutation steps at a width where the worker sums the GRU
+    weights and runs half of Adam."""
+    probe = ("import hashlib; from test_parallel import wide_training_bytes; "
+             "print(hashlib.sha256(wide_training_bytes()).hexdigest())")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, TESTS)),
+                   OPENBLAS_NUM_THREADS=threads)
+        digests.append(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+    assert digests[0] == digests[1] != ""
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
