@@ -555,8 +555,8 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
                    (U_r, h_prev, d_r), (U_z, h_prev, d_z), (U_h, rs * h_prev, d_h))
         # from `_SPLIT_MACS` on, the worker sums each block of weight terms
         # as soon as the loop has made its d rows
-        streamed = n_frames and parallel.splits(n_frames * n_batch * max(n_in, H) * H) \
-            and any(p.requires_grad for p, _, _ in weights)
+        streamed = parallel.splits(n_frames * n_batch * max(n_in, H) * H) and any(
+            p.requires_grad for p, _, _ in weights)
         sums = _StreamedSums(weights, n_frames) if streamed else None
         to_prev = ()                   # frame t+1's terms of dL/dh_t
         try:

@@ -248,10 +248,10 @@ class Adam:
     def step(self) -> None:
         """One update of every parameter with a gradient. Every gradient is
         checked before anything is written, so a rejected step leaves `t`,
-        `m`, `v` and every `p.data` as they were. From `_SPLIT_MACS` (an
-        update's 14 elementwise passes counted as multiply-adds), with two
-        cores, the worker updates the second of two runs of parameters of
-        about equal size while this thread updates the first."""
+        `m`, `v` and every `p.data` as they were. From `parallel`'s gate (an
+        update's 14 elementwise passes counted as multiply-adds), the worker
+        updates the second of two runs of parameters of about equal size
+        while this thread updates the first."""
         todo = [i for i, p in enumerate(self.params) if p.grad is not None]
         for i in todo:
             p, g = self.params[i], self.params[i].grad
@@ -262,11 +262,12 @@ class Adam:
                 raise ValueError(f"adam: parameter {i}: gradient dtype {g.dtype} does not "
                                  f"match parameter dtype {p.data.dtype}")
         self.t += 1
-        sizes = np.cumsum([self.params[i].data.size for i in todo])
-        if not todo or not parallel.splits(14 * int(sizes[-1])):
+        sizes = [self.params[i].data.size for i in todo]
+        if not todo or not parallel.splits(14 * sum(sizes)):
             self._update(todo)
             return
-        cut = int(np.argmin(np.abs(2 * sizes - sizes[-1]))) + 1
+        ends = np.cumsum(sizes)
+        cut = int(np.argmin(np.abs(2 * ends - ends[-1]))) + 1
         # the caller allocates what the worker fills, so the worker thread
         # grows no malloc arena of its own
         buffers = [[np.empty_like(self.params[i].data) for _ in range(3)] for i in todo[cut:]]
@@ -286,18 +287,17 @@ class Adam:
         for k, i in enumerate(indices):
             p, m, v = self.params[i], self.m[i], self.v[i]
             g = p.grad
-            tmp, den, new = (np.empty_like(p.data) for _ in range(3)) if buffers is None \
-                else buffers[k]
+            tmp, den, new = (None, None, None) if buffers is None else buffers[k]
             # the ops of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
             # p - lr*m_hat / (sqrt(v_hat) + eps), in their order, in place
-            np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+            tmp = np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
             m *= ADAM_BETA1
             m += tmp
             np.multiply(g, g, out=tmp)
             tmp *= 1.0 - ADAM_BETA2
             v *= ADAM_BETA2
             v += tmp
-            np.divide(v, b2t, out=den)
+            den = np.divide(v, b2t, out=den)
             np.sqrt(den, out=den)
             den += ADAM_EPS
             step = np.divide(m, b1t, out=tmp)

@@ -6,6 +6,7 @@ backward formulas, not about float noise.
 """
 
 import multiprocessing
+import sys
 import threading
 import time
 import warnings
@@ -585,6 +586,19 @@ class TestFrameSplit:
             assert on_worker == [True] * -(-n_frames // per_block)
         else:
             assert on_worker == []
+
+    def test_streamed_sums_under_a_short_switch_interval(self, split, monkeypatch):
+        """The caller writes the d rows of lower frames while the worker reads
+        a finished block; with threads switching every microsecond the bytes
+        stay those of the tape, run after run."""
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 2 * 6 * 6 * 8)     # blocks of 2 frames
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [_gru_runs(self.run, np.float64, 32, 4) for _ in range(10)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(seq == tape == runs[0][1] for seq, tape in runs)
 
     def test_error_in_a_worker_block_is_raised_by_backward(self, split, worker_tasks,
                                                            monkeypatch):

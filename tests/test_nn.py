@@ -248,7 +248,6 @@ class TestClipGradNorm:
         assert norm == pytest.approx(50.0)
         np.testing.assert_allclose(np.linalg.norm(p.grad), 5.0, rtol=1e-12)
 
-
     def test_overflowing_norm_rejected(self):
         p = t64(np.zeros(2))
         p.grad = np.array([1e200, 1.0])
@@ -519,6 +518,24 @@ class TestOptimiserBitwise:
                 assert opt.m[i].tobytes() == ref.m[i].tobytes()
                 assert opt.v[i].tobytes() == ref.v[i].tobytes()
         assert len(worker) == 4 and threading.get_ident() not in worker
+
+    def test_split_runs_are_about_equal(self, dtype, worker, monkeypatch):
+        runs = []
+        update = nn.Adam._update
+
+        def recording(opt, indices, buffers=None):
+            runs.append((threading.get_ident() == here, indices))
+            update(opt, indices, buffers)
+
+        here = threading.get_ident()
+        monkeypatch.setattr(nn.Adam, "_update", recording)
+        sizes = [(3, 4), (12,), (2, 2, 3), (6,), (6,), (5,)]
+        params = [Tensor(np.ones(s, dtype), requires_grad=True) for s in sizes]
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        params[4].grad = None                     # skipped, in neither run
+        nn.Adam(params).step()
+        assert sorted(runs) == [(False, [2, 3, 5]), (True, [0, 1])]
 
     @pytest.mark.parametrize("split", [False, True], ids=["one-run", "split"])
     @pytest.mark.parametrize("bad", ["shape", "dtype"])
