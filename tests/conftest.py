@@ -1,7 +1,10 @@
 import os
+import threading
 
 import numpy as np
 import pytest
+
+from pvae import parallel
 
 
 @pytest.fixture
@@ -19,3 +22,25 @@ def no_stray_children():
         return
     pytest.fail("the test left a child process running" if pid == 0 else
                 f"the test left child {pid} unreaped")
+
+
+@pytest.fixture
+def stage_threads(monkeypatch):
+    """[name of the thread that ran it, future] of each stage given to
+    `parallel.on_worker`."""
+    started = []
+    on_worker = parallel.on_worker
+
+    def recording(stage):
+        entry = [None, None]
+        started.append(entry)
+
+        def run():
+            entry[0] = threading.current_thread().name
+            return stage()
+
+        entry[1] = on_worker(run)
+        return entry[1]
+
+    monkeypatch.setattr(parallel, "on_worker", recording)
+    return started

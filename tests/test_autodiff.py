@@ -403,27 +403,6 @@ def frame_mode(request, monkeypatch):
     return request.param
 
 
-@pytest.fixture
-def worker_tasks(monkeypatch):
-    """[thread ident, future] of each task given to `parallel.on_worker`."""
-    started = []
-    on_worker = parallel.on_worker
-
-    def recording(task):
-        entry = [None, None]
-        started.append(entry)
-
-        def run():
-            entry[0] = threading.get_ident()
-            return task()
-
-        entry[1] = on_worker(run)
-        return entry[1]
-
-    monkeypatch.setattr(parallel, "on_worker", recording)
-    return started
-
-
 def _gru_runs(run, dtype, n_frames, n_batch):
     """`TestFrameSplit.run` of a 5-to-6 GRU over a random stack, from `gru_seq`
     and from the per-frame tape."""
@@ -573,7 +552,7 @@ class TestFrameSplit:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_frames", [1, 3, 4, 5, 32])
     def test_streamed_weight_sums_match_per_frame_tape(self, frame_mode, dtype, n_frames,
-                                                       worker_tasks):
+                                                       stage_threads):
         """With the gate forced open on two cores the GRU's six weight sums
         run on the worker, one task per block of frames, last block first;
         on one core they run here, as below the gate. Either way every
@@ -581,7 +560,7 @@ class TestFrameSplit:
         seq, tape = _gru_runs(self.run, dtype, n_frames, 16)
         assert seq == tape
         per_block = ad._BLOCK_BYTES // (6 * 6 * np.dtype(dtype).itemsize)
-        on_worker = [thread != threading.get_ident() for thread, _ in worker_tasks]
+        on_worker = [name != "MainThread" for name, _ in stage_threads]
         if frame_mode == "split":
             assert on_worker == [True] * -(-n_frames // per_block)
         else:
@@ -600,7 +579,7 @@ class TestFrameSplit:
             sys.setswitchinterval(interval)
         assert all(seq == tape == runs[0][1] for seq, tape in runs)
 
-    def test_error_in_a_worker_block_is_raised_by_backward(self, split, worker_tasks,
+    def test_error_in_a_worker_block_is_raised_by_backward(self, split, stage_threads,
                                                            monkeypatch):
         """An overflow in one block's weight terms, on the worker, is raised
         by `backward`, and no block outlives it. Input 0 has zero weights, so
@@ -617,10 +596,10 @@ class TestFrameSplit:
                               Tensor(np.full((n_frames * n_batch, 6), 1e10))))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             ad.backward(loss)
-        assert len(worker_tasks) == 5 and all(f.done() for _, f in worker_tasks)
+        assert len(stage_threads) == 5 and all(f.done() for _, f in stage_threads)
         assert all(p.grad is None for p in gru.parameters()[:6])
 
-    def test_caller_error_waits_for_the_blocks(self, split, worker_tasks, monkeypatch):
+    def test_caller_error_waits_for_the_blocks(self, split, stage_threads, monkeypatch):
         """An error on the caller during the BPTT loop propagates only after
         every block started on the worker has finished."""
         monkeypatch.setattr(ad, "_BLOCK_BYTES", 2 * 6 * 6 * 8)     # blocks of 2 frames
@@ -641,7 +620,7 @@ class TestFrameSplit:
         x = Tensor(np.random.default_rng(4).normal(size=(18, 5)))
         with pytest.raises(RuntimeError, match="caller"):
             ad.backward(ad.tsum(gru(x, 2)))
-        assert len(worker_tasks) == 2 and all(f.done() for _, f in worker_tasks)
+        assert len(stage_threads) == 2 and all(f.done() for _, f in stage_threads)
 
     def test_forked_child_runs_a_split(self, split):
         _split_linear_in_child()             # the worker thread now exists

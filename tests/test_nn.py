@@ -20,25 +20,15 @@ def t64(data, req=True):
 
 
 @pytest.fixture
-def worker(monkeypatch):
+def worker(monkeypatch, stage_threads):
     """The gate forced open on two cores, with a worker of the test's own:
-    the GRU's weight sums and Adam's second run go to it. Yields the thread
-    ident of each task given to `parallel.on_worker`."""
-    ran = []
-    on_worker = parallel.on_worker
-
-    def recording(task):
-        def run():
-            ran.append(threading.get_ident())
-            return task()
-        return on_worker(run)
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    the GRU's weight sums and Adam's second run go to it. Yields the name
+    of the thread that ran each task given to `parallel.on_worker`."""
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="test-worker") as pool:
         monkeypatch.setattr(parallel, "_pool", pool)
         monkeypatch.setattr(parallel, "_SPLIT_MACS", 0)
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(parallel, "on_worker", recording)
-        yield ran
+        yield stage_threads
 
 
 class TestInitParameters:
@@ -390,7 +380,7 @@ class TestGradientBuffers:
         held = [r.normal(size=p.data.shape).astype(dtype) for p in gru.parameters()]
         assert self.mismatches(gru, xs, weights, n_batch) == []
         assert self.mismatches(gru, xs, weights, n_batch, held) == []
-        assert len(worker) == 2 * 2 * 3 and threading.get_ident() not in worker
+        assert [name.split("_")[0] for name, _ in worker] == ["test-worker"] * 2 * 2 * 3
 
     def test_held_and_shared_grads_never_written(self, dtype, n_batch):
         linear, gru, xs, weights = self.setup_layers(dtype, n_batch)
@@ -517,7 +507,7 @@ class TestOptimiserBitwise:
                 assert p.data.tobytes() == twin.data.tobytes(), f"step {step} param {i}"
                 assert opt.m[i].tobytes() == ref.m[i].tobytes()
                 assert opt.v[i].tobytes() == ref.v[i].tobytes()
-        assert len(worker) == 4 and threading.get_ident() not in worker
+        assert [name.split("_")[0] for name, _ in worker] == ["test-worker"] * 4
 
     def test_split_runs_are_about_equal(self, dtype, worker, monkeypatch):
         runs = []
@@ -567,7 +557,7 @@ class TestOptimiserBitwise:
         opt = nn.Adam(params)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             opt.step()
-        assert len(worker) == 1 and threading.get_ident() not in worker
+        assert [name.split("_")[0] for name, _ in worker] == ["test-worker"]
 
     def test_clip_rejects_a_non_finite_gradient(self, dtype):
         """An infinite gradient raises before anything is scaled; before,

@@ -318,21 +318,14 @@ def wide_training_bytes() -> bytes:
 
 
 class TestWideTraining:
-    def test_same_bytes_with_and_without_the_worker(self, monkeypatch):
-        tasks = []
-        on_worker = parallel.on_worker
-
-        def recording(task):
-            tasks.append(task)
-            return on_worker(task)
-
-        monkeypatch.setattr(parallel, "on_worker", recording)
+    def test_same_bytes_with_and_without_the_worker(self, monkeypatch, stage_threads):
         runs = {}
         for cores in (2, 1):
             set_cores(monkeypatch, cores)
-            tasks.clear()
+            stage_threads.clear()
             runs[cores] = wide_training_bytes()
             # a step on two cores: one block of weight sums per GRU (2 in a
             # DIP step, 1 in a permutation step) and Adam's second run
-            assert len(tasks) == (2 * (2 + 1) + 2 * (1 + 1) if cores == 2 else 0)
+            tasks = 2 * (2 + 1) + 2 * (1 + 1) if cores == 2 else 0
+            assert [name.split("_")[0] for name, _ in stage_threads] == ["pvae-frames"] * tasks
         assert runs[1] == runs[2]

@@ -6,7 +6,6 @@ monotonicity.
 """
 
 import re
-import threading
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from oracles import elbo_loss
 from test_parallel import set_cores
 
 import pvae.autodiff as ad
-from pvae import parallel
 from pvae.autodiff import NumericError, Tensor
 from pvae.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pvae.config import RunConfig
@@ -284,28 +282,6 @@ def whole_clip(bundle, noisy, rng=None):
 def clip_of(n_frames, seed=0):
     samples = np.random.default_rng(seed).standard_normal((n_frames - 1) * HOP + FRAME_LEN)
     return Waveform(0.1 * samples)
-
-
-@pytest.fixture
-def stage_threads(monkeypatch):
-    """[name of the thread that ran it, future] of each stage given to
-    `parallel.on_worker`."""
-    started = []
-    on_worker = parallel.on_worker
-
-    def recording(stage):
-        entry = [None, None]
-        started.append(entry)
-
-        def run():
-            entry[0] = threading.current_thread().name
-            return stage()
-
-        entry[1] = on_worker(run)
-        return entry[1]
-
-    monkeypatch.setattr(parallel, "on_worker", recording)
-    return started
 
 
 class TestChunkedEnhance:
