@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Median milliseconds of each part of a `train-wide` round.
 
-    python3 scripts/round_parts.py [--rounds 20] [--warmup 3] [--seed 1]
+    python3 scripts/round_parts.py [--rounds 20] [--warmup 3] [--seed 1] [--digest]
 
 Builds the models and batches of `perfbench/workloads.TrainWide` (imported,
 not copied) and runs its two steps with the same calls, timing each part:
@@ -11,11 +11,17 @@ Adam. The target encodes are the two `encode_batch` calls of the frozen
 VAEs inside `permutation_loss`; the NSVAE forward is the rest of that call.
 BLAS runs on one thread, as in perfbench. The package comes from `src/` of
 this checkout. Prints one line per part, then the round total.
+
+With `--digest` it then prints one SHA-256 over the bytes of every
+parameter, gradient and Adam moment (`m`, `v`) of the two trained models,
+the speech VAE and the NSVAE, in parameter order. Two checkouts that train
+to the same bytes print the same digest, whatever the core count.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import statistics
 import sys
@@ -31,6 +37,8 @@ def parse_args(argv):
     p.add_argument("--rounds", type=int, default=20, help="timed rounds")
     p.add_argument("--warmup", type=int, default=3, help="untimed rounds first")
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--digest", action="store_true",
+                   help="then print a SHA-256 of the trained parameters, gradients and moments")
     return p.parse_args(argv)
 
 
@@ -100,6 +108,13 @@ def main(argv=None) -> int:
           f"(after {args.warmup} untimed)")
     for name in order:
         print(f"  {name:<20} {1e3 * statistics.median(parts[name]):8.2f}")
+    if args.digest:
+        sha = hashlib.sha256()
+        for opt in (w.vae_opt, w.ns_opt):
+            for p, m, v in zip(opt.params, opt.m, opt.v):
+                for arr in (p.data, p.grad, m, v):
+                    sha.update(arr.tobytes())
+        print(f"digest {sha.hexdigest()}")
     return 0
 
 

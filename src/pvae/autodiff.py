@@ -17,18 +17,20 @@ Gradients are summed without mutating any array that a `grad` ever pointed
 to: an op adds its terms into buffers it owns and binds `grad` once, so an
 array passed down the graph may be shared between nodes and leaves.
 
-The sequence ops hand each large stacked product (forward, input-gradient
-and weight-gradient terms) to `parallel.by_frames`, which may run half its
-frames on a second core. A frame is the same BLAS call whichever thread
-makes it, so every byte is the same as on one thread. From the same
-`parallel` gate, a GRU's backward starts the six weight sums of each block
-of frames on the worker (`parallel.on_worker`) as soon as its BPTT loop has
-made that block, and waits for them before it returns.
+The sequence ops hand each large forward product to `parallel.by_frames`,
+which may run half its frames on a second core. In the backward the caller
+walks the chain (a GRU's BPTT loop, the input-gradient products) while, from
+the same `parallel` gate, the worker sums the weight gradients
+(`_WeightSums`, `parallel.on_worker`), each block of frames as soon as its
+terms exist; the op waits for every block before it returns. A frame is the
+same BLAS call whichever thread makes it, and each sum keeps its order, so
+every byte is the same as on one thread.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -277,14 +279,15 @@ def broadcast_rows(v: Tensor, n: int) -> Tensor:
 # `_add_terms` computes a block of frames' terms lhs[t].T @ d[t] as one
 # stacked product (the BLAS call a frame-by-frame loop makes, frame by
 # frame) and adds them one by one, in frame order, into a buffer the op
-# owns; `_sum_weight_terms` runs it block after block here, and
-# `_StreamedSums` on the worker while a GRU's BPTT loop runs. `_BLOCK_BYTES`
-# bounds a block: all 32 frames of a 64-wide layer fit in one, a 512 x 512
-# float32 weight takes four, and no (T, in, out) stack of every frame is
-# built. `_sum_bias_terms` adds the per-frame batch sums
-# with `np.add.accumulate`, which is sequential; `np.add.reduce` over the
-# frames would sum pairwise when a row has one element. Each binds the
-# parameter's `grad` once per op.
+# owns. `_WeightSums` runs it block after block, on the worker while the
+# caller has other work (a GRU's BPTT loop, a linear layer's input
+# gradient), else here. `_BLOCK_BYTES` bounds a block: all 32 frames of a
+# 64-wide layer fit in one, a 512 x 512 float32 weight takes four, and no
+# (T, in, out) stack of every frame is built. The input-gradient products
+# run here as plain stacked products. `_sum_bias_terms` adds the per-frame
+# batch sums with `np.add.accumulate`, which is sequential; `np.add.reduce`
+# over the frames would sum pairwise when a row has one element. Each binds
+# the parameter's `grad` once per op.
 
 def _frames(x: Tensor, n_batch: int, op: str) -> np.ndarray:
     """The C-contiguous (T, B, F) view of a time-major stack."""
@@ -307,22 +310,13 @@ _BLOCK_BYTES = 4 << 20      # bytes of stacked weight terms computed at once
 
 
 def _add_terms(acc: np.ndarray, fresh: bool, terms: np.ndarray, lhs: np.ndarray,
-               d: np.ndarray, split: Callable | None) -> None:
+               d: np.ndarray) -> None:
     """Add the per-frame terms lhs[t].T @ d[t] of a block of frames of the
     (k, B, .) stacks to `acc`, in the order of the frames: one stacked
-    product into `terms` (through `split(n_frames, macs, part)`, or here if
-    None), then one add per frame. With `fresh` the first term is copied into
-    `acc`, which starts the sum."""
-    lhs_t, n_frames = lhs.transpose(0, 2, 1), len(d)
-
-    def product(a, b):
-        np.matmul(lhs_t[a:b], d[a:b], out=terms[a:b])
-
-    if split is None:
-        product(0, n_frames)
-    else:
-        split(n_frames, lhs_t.size * d.shape[-1], product)
-    for i, term in enumerate(terms[:n_frames]):
+    product into the (k, in, out) `terms`, then one add per frame. With
+    `fresh` the first term is copied into `acc`, which starts the sum."""
+    np.matmul(lhs.transpose(0, 2, 1), d, out=terms)
+    for i, term in enumerate(terms):
         if fresh and not i:
             np.copyto(acc, term)
         else:
@@ -338,64 +332,49 @@ def _accumulator(p: Tensor) -> tuple[np.ndarray, bool]:
     return p.grad.copy(), False
 
 
-def _sum_weight_terms(p: Tensor, lhs: np.ndarray, d: np.ndarray) -> None:
-    """Add the per-frame terms lhs[t].T @ d[t] of weight `p` in the order of
-    the frames of the (T, B, .) stacks: ((G + g_0) + g_1) + ..., G being
-    `p.grad` if set; reversed views give last-frame-first order. The sum
-    grows in a buffer of its own (`_accumulator`); `grad` is bound once at
-    the end.
-    """
-    n_frames = len(d)
-    if not p.requires_grad or not n_frames:
-        return
-    per_block = max(1, _BLOCK_BYTES // (p.data.size * p.data.itemsize))
-    terms = np.empty((min(per_block, n_frames),) + p.data.shape, p.data.dtype)
-    acc, fresh = _accumulator(p)
-    for lo in range(0, n_frames, per_block):
-        hi = min(lo + per_block, n_frames)
-        _add_terms(acc, fresh and not lo, terms, lhs[lo:hi], d[lo:hi], parallel.by_frames)
-    p.grad = acc
+class _WeightSums:
+    """The weight-gradient sums of a sequence op's backward. For each
+    (p, lhs, d), the per-frame terms lhs[t].T @ d[t] of the (T, B, .) stacks
+    are added in the order of their frames, ((G + g_0) + g_1) + ..., G being
+    `p.grad` if set; reversed views give last-frame-first sums.
 
-
-class _StreamedSums:
-    """The weight sums of a GRU backward, (p, lhs, d) each, run on the worker
-    block by block while the BPTT loop makes the d rows of the frames below.
-
-    Blocks run from the last frame down, in the order they are started, so
-    each parameter's sum keeps the order ((G + g_{T-1}) + g_{T-2}) + ... of
-    `_sum_weight_terms`. A block is the frames whose terms of the largest
-    weight fit in `_BLOCK_BYTES`. The caller allocates the accumulators and
-    the one term buffer that the blocks share: the worker runs one block at
-    a time, and a task that allocates on the worker would grow a malloc
-    arena of that thread.
+    The sums run in blocks of frames, a block being the frames whose terms of
+    the largest weight fit in `_BLOCK_BYTES`. `made(n)` runs each block that
+    the first n frames complete: on the worker with `worker`, else here.
+    Blocks run in the order they are started, so each sum keeps its order
+    whichever thread runs it. The caller allocates the accumulators and the
+    one term buffer that the blocks share: the worker runs one block at a
+    time, and a task that allocates on the worker would grow a malloc arena
+    of that thread.
     """
 
     def __init__(self, weights: Sequence[tuple[Tensor, np.ndarray, np.ndarray]],
-                 n_frames: int):
-        self.weights = [w for w in weights if w[0].requires_grad]
+                 worker: bool):
+        self.weights = [w for w in weights if w[0].requires_grad and len(w[2])]
         self.accs = [_accumulator(p) for p, _, _ in self.weights]
-        largest = max(p.data.size for p, _, _ in self.weights)
-        itemsize = self.weights[0][0].data.itemsize
-        self.per_block = max(1, _BLOCK_BYTES // (largest * itemsize))
-        self.terms = np.empty(min(self.per_block, n_frames) * largest,
-                              self.weights[0][0].data.dtype)
-        self.n_frames = self.hi = n_frames
-        self.futures: list = []
+        self.worker, self.futures = worker, []
+        self.blocks: list[tuple[int, int]] = []
+        if self.weights:
+            largest = max((p.data for p, _, _ in self.weights), key=np.size)
+            n_frames, per_block = len(weights[0][2]), max(1, _BLOCK_BYTES // largest.nbytes)
+            self.blocks = [(lo, min(lo + per_block, n_frames))
+                           for lo in range(0, n_frames, per_block)]
+            self.terms = np.empty(min(per_block, n_frames) * largest.size, largest.dtype)
 
-    def made(self, t: int) -> None:
-        """Frame t's d rows exist, and those of every frame above it: start
-        the block that t completes."""
-        if self.hi - t < self.per_block and t:
-            return
-        lo, hi = t, self.hi
-        self.futures.append(parallel.on_worker(lambda: self._block(lo, hi)))
-        self.hi = t
+    def made(self, n: int) -> None:
+        """The d rows of the first n frames exist: start each block they
+        complete."""
+        while self.blocks and self.blocks[0][1] <= n:
+            block = partial(self._block, *self.blocks.pop(0))
+            if self.worker:
+                self.futures.append(parallel.on_worker(block))
+            else:
+                block()
 
     def _block(self, lo: int, hi: int) -> None:
         for (p, lhs, d), (acc, fresh) in zip(self.weights, self.accs):
             terms = self.terms[:(hi - lo) * p.data.size].reshape((hi - lo,) + p.data.shape)
-            _add_terms(acc, fresh and hi == self.n_frames, terms,
-                       lhs[lo:hi][::-1], d[lo:hi][::-1], None)
+            _add_terms(acc, fresh and not lo, terms, lhs[lo:hi], d[lo:hi])
 
     def wait(self) -> BaseException | None:
         """Wait for every block started; the first one's error, if any."""
@@ -431,7 +410,9 @@ def linear_seq(x: Tensor, weight: Tensor, bias: Tensor, n_batch: int,
 
     Weight and bias gradients are added frame by frame, from frame 0 up, or
     from frame T-1 down with `last_frame_first`: the order in which a layer
-    that feeds a recurrence receives them through time.
+    that feeds a recurrence receives them through time. From `parallel`'s
+    gate the worker sums the weight gradient while the input gradient runs
+    here; a layer with no input gradient sums it here.
     """
     x3 = _frames(x, n_batch, "linear_seq")
     n_in, n_out = x3.shape[2], weight.data.shape[-1]
@@ -453,14 +434,19 @@ def linear_seq(x: Tensor, weight: Tensor, bias: Tensor, n_batch: int,
         if relu:
             g = g * mask
         g3 = g.reshape(x3.shape[:2] + (n_out,))
-        if x.requires_grad:
-            gx = np.empty_like(x3)
-            parallel.by_frames(len(x3), macs,
-                               lambda lo, hi: np.matmul(g3[lo:hi], wd.T, out=gx[lo:hi]))
-            _accumulate(x, gx.reshape(-1, n_in))
         xs, gs = (x3[::-1], g3[::-1]) if last_frame_first else (x3, g3)
-        _sum_weight_terms(weight, xs, gs)
-        _sum_bias_terms(bias, gs)
+        # with no input gradient to run meanwhile, the worker would only add
+        # a hand-off
+        sums = _WeightSums([(weight, xs, gs)], x.requires_grad and parallel.splits(macs))
+        sums.made(len(x3))
+        try:
+            if x.requires_grad:
+                _accumulate(x, np.matmul(g3, wd.T).reshape(-1, n_in))
+            _sum_bias_terms(bias, gs)
+        except BaseException:
+            sums.wait()                # no block may outlive the backward
+            raise
+        sums.finish()
 
     return _result(out, (x, weight, bias), back, "linear_seq", scanned=relu)
 
@@ -530,10 +516,11 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
     consecutive runs of frames that carry the state. The gates are not fused
     into one [W_r|W_z|W_h] product: at some small widths BLAS rounds that
     differently from the three separate products. The backward pass is
-    backpropagation through time into x, h0 and all nine weights. From
-    `parallel`'s gate the worker sums the six weight gradients, block by
-    block, while the loop goes on (`_StreamedSums`); below it, or on one
-    core, they are summed here after the loop. The bytes are the same.
+    backpropagation through time into x, h0 and all nine weights. The six
+    weight gradients are summed block by block as the loop makes each block
+    (`_WeightSums`): from `parallel`'s gate on the worker, while the loop goes
+    on here; below it, or on one core, here between the loop's frames. The
+    input gradient runs here after the loop. The bytes are the same.
     """
     W_r, W_z, W_h, U_r, U_z, U_h, b_r, b_z, b_h = params
     H = W_r.data.shape[-1]
@@ -551,13 +538,11 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
         g3 = g.reshape(n_frames, n_batch, H)
         d_r, d_z, d_h = (np.empty_like(a_h) for _ in range(3))  # d pre-activations
         h_prev = hs[:-1]
-        weights = ((W_r, x3, d_r), (W_z, x3, d_z), (W_h, x3, d_h),
-                   (U_r, h_prev, d_r), (U_z, h_prev, d_z), (U_h, rs * h_prev, d_h))
-        # from `_SPLIT_MACS` on, the worker sums each block of weight terms
-        # as soon as the loop has made its d rows
-        streamed = parallel.splits(n_frames * n_batch * max(n_in, H) * H) and any(
-            p.requires_grad for p, _, _ in weights)
-        sums = _StreamedSums(weights, n_frames) if streamed else None
+        # each parameter's sum runs from the last frame down
+        sums = _WeightSums([(p, lhs[::-1], d[::-1]) for p, lhs, d in (
+            (W_r, x3, d_r), (W_z, x3, d_z), (W_h, x3, d_h),
+            (U_r, h_prev, d_r), (U_z, h_prev, d_z), (U_h, rs * h_prev, d_h))],
+            parallel.splits(n_frames * n_batch * max(n_in, H) * H))
         to_prev = ()                   # frame t+1's terms of dL/dh_t
         try:
             # each line repeats the per-frame graph's ops in its order (dh*c
@@ -572,33 +557,21 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
                 d_rh = d_h[t] @ U_h.data.T
                 d_r[t] = ((d_rh * h) * r) * (1.0 - r)
                 to_prev = (dh * (1.0 - z), d_z[t] @ U_z.data.T, d_rh * r, d_r[t] @ U_r.data.T)
-                if sums is not None:
-                    sums.made(t)
-            if sums is None:
-                # each parameter in one pass from the last frame down
-                for p, lhs, d in weights:
-                    _sum_weight_terms(p, lhs[::-1], d[::-1])
+                sums.made(n_frames - t)
             # in the per-frame graph, b_h's terms arrive from frame 0 up
             for p, d in ((b_r, d_r[::-1]), (b_z, d_z[::-1]), (b_h, d_h)):
                 _sum_bias_terms(p, d)
             for term in to_prev:
                 _accumulate(h0, term)
-            if x.requires_grad:
-                gx = np.empty_like(x3)
-
-                def input_grad(lo, hi):    # (d_z W_zᵀ + d_h W_hᵀ) + d_r W_rᵀ, per frame
-                    out = np.matmul(d_z[lo:hi], W_z.data.T, out=gx[lo:hi])
-                    out += np.matmul(d_h[lo:hi], W_h.data.T)
-                    out += np.matmul(d_r[lo:hi], W_r.data.T)
-
-                parallel.by_frames(n_frames, 3 * x3.size * H, input_grad)
+            if x.requires_grad:        # (d_z W_zᵀ + d_h W_hᵀ) + d_r W_rᵀ, per frame
+                gx = np.matmul(d_z, W_z.data.T)
+                gx += np.matmul(d_h, W_h.data.T)
+                gx += np.matmul(d_r, W_r.data.T)
                 _accumulate(x, gx.reshape(-1, n_in))
         except BaseException:
-            if sums is not None:
-                sums.wait()            # no block may outlive the backward
+            sums.wait()                # no block may outlive the backward
             raise
-        if sums is not None:
-            sums.finish()
+        sums.finish()
 
     return _result(hs[1:].reshape(-1, H), (x, h0, *params), back, "gru_seq", scanned=True)
 

@@ -394,6 +394,9 @@ def cmd_ablation(args, cfg: RunConfig) -> None:
     if not settings or any(s not in SETTINGS for s in settings):
         raise UsageError(f"--settings must be a subset of 1,2,3,4, got "
                          f"{args.settings!r}")
+    repeated = next((s for i, s in enumerate(settings) if s in settings[:i]), None)
+    if repeated is not None:
+        raise UsageError(f"--settings repeats setting {repeated}, got {args.settings!r}")
     out = Path(args.out)
     write_manifest(out, "ablation", cfg, {"settings": settings})
     rows = [run_setting(cfg, s, out / f"setting_{s}") for s in settings]

@@ -7,11 +7,11 @@ frame t of sequence b, through the sequence ops `autodiff.linear_seq` and
 `autodiff.gru_seq`. Those ops make the same per-frame BLAS calls a
 frame-by-frame loop would, so the output for frame t never changes when
 later frames are appended: the encoders are causal bit for bit. Large
-stacked products (x @ W, input and weight gradients) may run half their
-frames on the second core (`parallel.by_frames`), with the same bytes; the
-h @ U recurrence stays on the caller. During a wide GRU's backward the
-second core sums the weight gradients while the caller runs the BPTT loop,
-and a wide `Adam.step` updates half its parameters there. A GRU's forward
+forward products (x @ W) may run half their frames on the second core
+(`parallel.by_frames`), with the same bytes; the h @ U recurrence stays on
+the caller. In a wide layer's backward the second core sums the weight
+gradients while the caller runs the BPTT loop and the input gradients, and
+a wide `Adam.step` updates half its parameters there. A GRU's forward
 also runs in its two parts, `project` and `recur`, the recurrence from a
 given state, so that a sequence can run in chunks of frames with the bytes
 of one call.

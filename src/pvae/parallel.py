@@ -5,18 +5,18 @@ child for an independent part of a run. Either gives the bytes of one core.
 (T, B, .) stack. From `_SPLIT_MACS` multiply-adds on, with two or more
 cores, it runs the second half of the frames on a worker thread and the
 first half here. A frame is the same BLAS call whichever thread makes it.
-The sequence ops of `autodiff` route every stacked product through it.
+The sequence ops of `autodiff` route their forward products through it.
 
 `on_worker(stage)` starts `stage()` on the same worker and returns its
 future; the worker runs stages in the order they were started. The
 chunked enhancement chain of `pipeline` runs its stacked products this way
-while the caller runs the GRU recurrences. In training, a GRU's backward
-sends each block of its weight sums there while the caller runs the BPTT
-loop, and `nn.Adam.step` the second half of its parameters. Both ask
-`splits(macs)` first, the gate of `by_frames`, and allocate every array a
-task fills on the caller, so the worker thread grows no malloc arena of its
-own. The worker counts one core, so a split or a stage started on it runs
-inline.
+while the caller runs the GRU recurrences. In training, the backward of a
+sequence op sends each block of its weight sums there while the caller runs
+a GRU's BPTT loop or a layer's input gradient, and `nn.Adam.step` the second
+half of its parameters. Both ask `splits(macs)` first, the gate of
+`by_frames`, and allocate every array a task fills on the caller, so the
+worker thread grows no malloc arena of its own. The worker counts one core,
+so a split or a stage started on it runs inline.
 
 `fork_join(lane, here, name)` runs `lane()` in a forked child, the lane,
 while this process runs `here()`, and returns both results. The child

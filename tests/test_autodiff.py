@@ -603,24 +603,89 @@ class TestFrameSplit:
         """An error on the caller during the BPTT loop propagates only after
         every block started on the worker has finished."""
         monkeypatch.setattr(ad, "_BLOCK_BYTES", 2 * 6 * 6 * 8)     # blocks of 2 frames
-        block, made = ad._StreamedSums._block, ad._StreamedSums.made
+        block, made = ad._WeightSums._block, ad._WeightSums.made
 
         def slow_block(sums, lo, hi):
             time.sleep(0.05)
             block(sums, lo, hi)
 
-        def failing_made(sums, t):
-            made(sums, t)
-            if t == 4:
+        def failing_made(sums, n):
+            made(sums, n)
+            if n == 5:                 # frames 8 down to 4 made: two blocks started
                 raise RuntimeError("caller")
 
-        monkeypatch.setattr(ad._StreamedSums, "_block", slow_block)
-        monkeypatch.setattr(ad._StreamedSums, "made", failing_made)
+        monkeypatch.setattr(ad._WeightSums, "_block", slow_block)
+        monkeypatch.setattr(ad._WeightSums, "made", failing_made)
         gru = nn.GruLayer(5, 6, rng=np.random.default_rng(3))
         x = Tensor(np.random.default_rng(4).normal(size=(18, 5)))
         with pytest.raises(RuntimeError, match="caller"):
             ad.backward(ad.tsum(gru(x, 2)))
         assert len(stage_threads) == 2 and all(f.done() for _, f in stage_threads)
+
+    @pytest.mark.parametrize("case", ["two cores", "one core", "below the gate",
+                                      "no input gradient"])
+    def test_linear_weight_sums_run_on_the_worker_beside_the_input_gradient(
+            self, split, stage_threads, monkeypatch, case):
+        """Above the gate on two cores, a linear layer's weight sum runs on the
+        worker, one task per block of frames, while the caller runs the input
+        gradient. On one core, below the gate, or with no input gradient to
+        run meanwhile, it runs here. The gradients have the tape's bytes."""
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 2 * 5 * 6 * 8)     # blocks of 2 frames
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                            lambda pid: {0} if case == "one core" else {0, 1})
+        n_frames, n_batch = 5, 2
+        if case == "below the gate":
+            monkeypatch.setattr(parallel, "_SPLIT_MACS", n_frames * n_batch * 5 * 6 + 1)
+        r = np.random.default_rng(7)
+        layer = nn.LinearLayer(5, 6, "relu", rng=r)
+        x = Tensor(r.normal(size=(n_frames * n_batch, 5)), requires_grad=case != "no input gradient")
+        w = Tensor(r.normal(size=(n_frames * n_batch, 6)))
+        def grads(forward):
+            for p in (x, *layer.parameters()):
+                p.grad = None
+            ad.backward(ad.tsum(ad.mul(forward(), w)))
+            return [p.grad.tobytes() for p in (x, *layer.parameters()) if p.requires_grad]
+
+        seq = grads(lambda: layer(x, n_batch))
+        on_worker = [name != "MainThread" for name, _ in stage_threads]
+        assert seq == grads(lambda: concat([tape_reference.linear(
+            layer, slice_rows(x, t * n_batch, (t + 1) * n_batch)) for t in range(n_frames)]))
+        assert on_worker == ([True] * 3 if case == "two cores" else [])
+
+    @pytest.mark.parametrize("where", ["worker block", "caller input gradient"])
+    def test_linear_overflow_is_raised_once_every_block_is_done(
+            self, split, stage_threads, monkeypatch, where):
+        """An overflow in a linear layer's backward, in a block of weight terms
+        on the worker or in the input gradient here, is raised by `backward`
+        once every block is done, and the weight's `grad` is not bound. Input
+        0 has zero weights or zero values, so a huge value there overflows
+        only the weight terms x[t].T @ g[t], or only the input gradient."""
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 2 * 3 * 4 * 8)     # blocks of 2 frames
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
+        block = ad._WeightSums._block
+
+        def slow_block(sums, lo, hi):
+            time.sleep(0.01)
+            block(sums, lo, hi)
+
+        monkeypatch.setattr(ad._WeightSums, "_block", slow_block)
+        r = np.random.default_rng(8)
+        layer = nn.LinearLayer(3, 4, rng=r)
+        n_frames, n_batch = 9, 2
+        x = r.normal(size=(n_frames * n_batch, 3))
+        if where == "worker block":
+            layer.weight.data[0] = 0.0
+            x[2 * n_batch:3 * n_batch, 0] = 1e300      # frame 2, in the second block
+        else:
+            x[:, 0] = 0.0
+            layer.weight.data[0] = 1e300
+        loss = ad.tsum(ad.mul(layer(Tensor(x, requires_grad=True), n_batch),
+                              Tensor(np.full((n_frames * n_batch, 4), 1e10))))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            ad.backward(loss)
+        assert [name != "MainThread" for name, _ in stage_threads] == [True] * 5
+        assert all(f.done() for _, f in stage_threads)
+        assert layer.weight.grad is None
 
     def test_forked_child_runs_a_split(self, split):
         _split_linear_in_child()             # the worker thread now exists

@@ -71,3 +71,15 @@ def test_round_parts_times_every_part_of_a_train_wide_round():
     assert names == ["dip forward", "dip backward", "dip clip", "dip adam",
                      "perm nsvae forward", "perm target encodes", "perm backward",
                      "perm clip", "perm adam", "round"]
+
+
+def test_round_parts_digest_follows_the_parts():
+    """`--digest` adds one SHA-256 line after the parts, over the trained
+    parameters, gradients and Adam moments."""
+    script = SPANS_PATH.parents[1] / "scripts" / "round_parts.py"
+    out = subprocess.run([sys.executable, str(script), "--rounds", "1", "--warmup", "0",
+                          "--digest"], check=True, capture_output=True, text=True).stdout
+    lines = out.splitlines()
+    assert len(lines) == 12 and lines[-2].split()[0] == "round"
+    word, digest = lines[-1].split()
+    assert word == "digest" and len(digest) == 64 and int(digest, 16) >= 0

@@ -76,6 +76,13 @@ class TestExitCodes:
         assert run("ablation", "--config", cfg_file, "--settings", "x",
                    "--out", str(tmp_path / "a")) == 1
 
+    def test_repeated_setting_is_usage_error(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "a"
+        assert run("ablation", "--config", cfg_file, "--settings", "3,1,3",
+                   "--out", str(out)) == 1
+        assert "repeats setting 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_file_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense_key = 1\n")

@@ -296,8 +296,10 @@ class TestCommandsInLanes:
 def wide_training_bytes() -> bytes:
     """Parameter bytes after two DIP steps of a speech VAE and two permutation
     steps of an NSVAE against two frozen VAEs, at H=256, T=8, B=16: each
-    256 x 256 GRU weight sum is 8.4M multiply-adds, above `_SPLIT_MACS`, so
-    on two cores the worker sums the GRU weights and runs Adam's second run."""
+    256 x 256 weight sum is 8.4M multiply-adds, above `_SPLIT_MACS`. So on two
+    cores the worker sums the GRU weights while the caller runs the BPTT loop,
+    sums the weights of each such linear layer while the caller runs its input
+    gradient, and runs Adam's second run."""
     r = np.random.default_rng(5)
     vae, cvae, nvae = (VaeModel(F_BINS, 256, 32, role, rng=r, dtype=np.float32)
                        for role in ("speech", "speech", "noise"))
@@ -324,8 +326,13 @@ class TestWideTraining:
             set_cores(monkeypatch, cores)
             stage_threads.clear()
             runs[cores] = wide_training_bytes()
-            # a step on two cores: one block of weight sums per GRU (2 in a
-            # DIP step, 1 in a permutation step) and Adam's second run
-            tasks = 2 * (2 + 1) + 2 * (1 + 1) if cores == 2 else 0
+            # a step on two cores, over 8 frames of 16 rows: one block of
+            # weight sums per GRU (2 in a DIP step, 1 in a permutation step);
+            # one per linear layer of 2^22 multiply-adds or more with an input
+            # gradient (7 in a DIP step: the trunk's fc1 and fc2, the three
+            # decoder FCs and the two decoder heads; 3 in a permutation step:
+            # fc1, fc2 and fc_wide; each trunk's fc0 has no input gradient,
+            # and the latent heads are 1-2M); and Adam's second run
+            tasks = 2 * (2 + 7 + 1) + 2 * (1 + 3 + 1) if cores == 2 else 0
             assert [name.split("_")[0] for name, _ in stage_threads] == ["pvae-frames"] * tasks
         assert runs[1] == runs[2]
