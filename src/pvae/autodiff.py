@@ -21,10 +21,11 @@ The sequence ops hand each large forward product to `parallel.by_frames`,
 which may run half its frames on a second core. In the backward the caller
 walks the chain (a GRU's BPTT loop, the input-gradient products) while, from
 the same `parallel` gate, the worker sums the weight gradients
-(`_WeightSums`, `parallel.on_worker`), each block of frames as soon as its
-terms exist; the op waits for every block before it returns. A frame is the
-same BLAS call whichever thread makes it, and each sum keeps its order, so
-every byte is the same as on one thread.
+(`_WeightSums`), each block of frames a `parallel.Tasks` task started as
+soon as its terms exist; the op's `Tasks` block waits for every block before
+it binds a gradient or raises. A frame is the same BLAS call whichever
+thread makes it, and each sum keeps its order, so every byte is the same as
+on one thread.
 """
 
 from __future__ import annotations
@@ -340,19 +341,19 @@ class _WeightSums:
 
     The sums run in blocks of frames, a block being the frames whose terms of
     the largest weight fit in `_BLOCK_BYTES`. `made(n)` runs each block that
-    the first n frames complete: on the worker with `worker`, else here.
-    Blocks run in the order they are started, so each sum keeps its order
-    whichever thread runs it. The caller allocates the accumulators and the
-    one term buffer that the blocks share: the worker runs one block at a
-    time, and a task that allocates on the worker would grow a malloc arena
-    of that thread.
+    the first n frames complete: as a task of `tasks`, else here. Blocks run
+    in the order they are started, so each sum keeps its order whichever
+    thread runs it. The caller allocates the accumulators and the one term
+    buffer that the blocks share: the worker runs one block at a time, and a
+    task that allocates on the worker would grow a malloc arena of that
+    thread. `bind()` follows the end of the `tasks` block.
     """
 
     def __init__(self, weights: Sequence[tuple[Tensor, np.ndarray, np.ndarray]],
-                 worker: bool):
+                 tasks: parallel.Tasks | None):
         self.weights = [w for w in weights if w[0].requires_grad and len(w[2])]
         self.accs = [_accumulator(p) for p, _, _ in self.weights]
-        self.worker, self.futures = worker, []
+        self.tasks = tasks
         self.blocks: list[tuple[int, int]] = []
         if self.weights:
             largest = max((p.data for p, _, _ in self.weights), key=np.size)
@@ -366,27 +367,18 @@ class _WeightSums:
         complete."""
         while self.blocks and self.blocks[0][1] <= n:
             block = partial(self._block, *self.blocks.pop(0))
-            if self.worker:
-                self.futures.append(parallel.on_worker(block))
-            else:
+            if self.tasks is None:
                 block()
+            else:
+                self.tasks.start(block)
 
     def _block(self, lo: int, hi: int) -> None:
         for (p, lhs, d), (acc, fresh) in zip(self.weights, self.accs):
             terms = self.terms[:(hi - lo) * p.data.size].reshape((hi - lo,) + p.data.shape)
             _add_terms(acc, fresh and not lo, terms, lhs[lo:hi], d[lo:hi])
 
-    def wait(self) -> BaseException | None:
-        """Wait for every block started; the first one's error, if any."""
-        errors = [f.exception() for f in self.futures]
-        return next((e for e in errors if e is not None), None)
-
-    def finish(self) -> None:
-        """Wait for every block; raise the first error, or bind each sum as
-        its parameter's `grad`."""
-        error = self.wait()
-        if error is not None:
-            raise error
+    def bind(self) -> None:
+        """Bind each sum as its parameter's `grad`."""
         for (p, _, _), (acc, _) in zip(self.weights, self.accs):
             p.grad = acc
 
@@ -435,18 +427,16 @@ def linear_seq(x: Tensor, weight: Tensor, bias: Tensor, n_batch: int,
             g = g * mask
         g3 = g.reshape(x3.shape[:2] + (n_out,))
         xs, gs = (x3[::-1], g3[::-1]) if last_frame_first else (x3, g3)
-        # with no input gradient to run meanwhile, the worker would only add
-        # a hand-off
-        sums = _WeightSums([(weight, xs, gs)], x.requires_grad and parallel.splits(macs))
-        sums.made(len(x3))
-        try:
+        with parallel.Tasks() as tasks:
+            # with no input gradient to run meanwhile, the worker would only
+            # add a hand-off
+            sums = _WeightSums([(weight, xs, gs)],
+                               tasks if x.requires_grad and parallel.splits(macs) else None)
+            sums.made(len(x3))
             if x.requires_grad:
                 _accumulate(x, np.matmul(g3, wd.T).reshape(-1, n_in))
             _sum_bias_terms(bias, gs)
-        except BaseException:
-            sums.wait()                # no block may outlive the backward
-            raise
-        sums.finish()
+        sums.bind()
 
     return _result(out, (x, weight, bias), back, "linear_seq", scanned=relu)
 
@@ -538,13 +528,13 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
         g3 = g.reshape(n_frames, n_batch, H)
         d_r, d_z, d_h = (np.empty_like(a_h) for _ in range(3))  # d pre-activations
         h_prev = hs[:-1]
-        # each parameter's sum runs from the last frame down
-        sums = _WeightSums([(p, lhs[::-1], d[::-1]) for p, lhs, d in (
-            (W_r, x3, d_r), (W_z, x3, d_z), (W_h, x3, d_h),
-            (U_r, h_prev, d_r), (U_z, h_prev, d_z), (U_h, rs * h_prev, d_h))],
-            parallel.splits(n_frames * n_batch * max(n_in, H) * H))
         to_prev = ()                   # frame t+1's terms of dL/dh_t
-        try:
+        with parallel.Tasks() as tasks:
+            # each parameter's sum runs from the last frame down
+            sums = _WeightSums([(p, lhs[::-1], d[::-1]) for p, lhs, d in (
+                (W_r, x3, d_r), (W_z, x3, d_z), (W_h, x3, d_h),
+                (U_r, h_prev, d_r), (U_z, h_prev, d_z), (U_h, rs * h_prev, d_h))],
+                tasks if parallel.splits(n_frames * n_batch * max(n_in, H) * H) else None)
             # each line repeats the per-frame graph's ops in its order (dh*c
             # + -(dh*h), not dh*(c-h)), so the gradients keep their bytes
             for t in range(n_frames - 1, -1, -1):
@@ -568,10 +558,7 @@ def gru_seq(x: Tensor, h0: Tensor, params: Sequence[Tensor]) -> Tensor:
                 gx += np.matmul(d_h, W_h.data.T)
                 gx += np.matmul(d_r, W_r.data.T)
                 _accumulate(x, gx.reshape(-1, n_in))
-        except BaseException:
-            sums.wait()                # no block may outlive the backward
-            raise
-        sums.finish()
+        sums.bind()
 
     return _result(hs[1:].reshape(-1, H), (x, h0, *params), back, "gru_seq", scanned=True)
 

@@ -11,7 +11,8 @@ forward products (x @ W) may run half their frames on the second core
 (`parallel.by_frames`), with the same bytes; the h @ U recurrence stays on
 the caller. In a wide layer's backward the second core sums the weight
 gradients while the caller runs the BPTT loop and the input gradients, and
-a wide `Adam.step` updates half its parameters there. A GRU's forward
+a wide `Adam.step` updates half its parameters there; each joins its tasks
+through `parallel.Tasks`. A GRU's forward
 also runs in its two parts, `project` and `recur`, the recurrence from a
 given state, so that a sequence can run in chunks of frames with the bytes
 of one call.
@@ -271,13 +272,9 @@ class Adam:
         # the caller allocates what the worker fills, so the worker thread
         # grows no malloc arena of its own
         buffers = [[np.empty_like(self.params[i].data) for _ in range(3)] for i in todo[cut:]]
-        second = parallel.on_worker(lambda: self._update(todo[cut:], buffers))
-        try:
+        with parallel.Tasks() as tasks:
+            tasks.start(lambda: self._update(todo[cut:], buffers))
             self._update(todo[:cut])
-        finally:
-            error = second.exception()
-        if error is not None:
-            raise error
 
     def _update(self, indices: list[int], buffers: list | None = None) -> None:
         """Update the parameters `indices`, each with its (tmp, den, new data)

@@ -1,22 +1,29 @@
 """The second core: a worker thread for stacked products, and a forked
 child for an independent part of a run. Either gives the bytes of one core.
 
+`Tasks` is the one way to run work on the worker thread. In a block
+`with Tasks() as tasks:`, `tasks.start(stage)` runs `stage()` on the worker
+in the caller's context (`np.errstate`), after every stage started before
+it, and returns its future; where `cores()` reads 1, it runs the stage here
+and returns a done future. The join rule: leaving the block, by return or
+by raise, waits for every task it started, so no task outlives its caller;
+then the block's own error propagates, or else the first failed task's
+error, in start order.
+
 `by_frames(n_frames, macs, part)` runs `part(lo, hi)` over the frames of a
 (T, B, .) stack. From `_SPLIT_MACS` multiply-adds on, with two or more
-cores, it runs the second half of the frames on a worker thread and the
-first half here. A frame is the same BLAS call whichever thread makes it.
-The sequence ops of `autodiff` route their forward products through it.
+cores, it runs the second half of the frames as a task and the first half
+here. A frame is the same BLAS call whichever thread makes it. The sequence
+ops of `autodiff` route their forward products through it.
 
-`on_worker(stage)` starts `stage()` on the same worker and returns its
-future; the worker runs stages in the order they were started. The
-chunked enhancement chain of `pipeline` runs its stacked products this way
-while the caller runs the GRU recurrences. In training, the backward of a
-sequence op sends each block of its weight sums there while the caller runs
-a GRU's BPTT loop or a layer's input gradient, and `nn.Adam.step` the second
-half of its parameters. Both ask `splits(macs)` first, the gate of
-`by_frames`, and allocate every array a task fills on the caller, so the
-worker thread grows no malloc arena of its own. The worker counts one core,
-so a split or a stage started on it runs inline.
+The chunked enhancement chain of `pipeline` runs its stacked products as
+tasks while the caller runs the GRU recurrences. In training, the backward
+of a sequence op sends each block of its weight sums to the worker while
+the caller runs a GRU's BPTT loop or a layer's input gradient, and
+`nn.Adam.step` the second half of its parameters. Both ask `splits(macs)`
+first, the gate of `by_frames`, and allocate every array a task fills on
+the caller, so the worker thread grows no malloc arena of its own. The
+worker counts one core, so a split or a task started on it runs inline.
 
 `fork_join(lane, here, name)` runs `lane()` in a forked child, the lane,
 while this process runs `here()`, and returns both results. The child
@@ -43,30 +50,30 @@ import signal
 import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 from typing import Callable, TypeVar
 
 A = TypeVar("A")
 B = TypeVar("B")
 
-_in_lane = False
-_in_here = False            # the caller of `fork_join` while its `here()` runs
+_one_core = False           # in a lane, and in its caller while `here()` runs
 _SPLIT_MACS = 1 << 22       # multiply-adds from which a product is split
 _pool: ThreadPoolExecutor | None = None
-_local = threading.local()      # `on_worker` is set on the worker thread
+_local = threading.local()      # `is_worker` is set on the worker thread
 
 
 def cores() -> int:
     """Cores this thread may fill: 1 on the worker thread, inside a lane, in
     the caller while a lane runs, or where the platform reports no CPU
     affinity (macOS); else the process's affinity."""
-    if (_in_lane or _in_here or getattr(_local, "on_worker", False)
+    if (_one_core or getattr(_local, "is_worker", False)
             or not hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
 
 
 def _mark_worker() -> None:
-    _local.on_worker = True
+    _local.is_worker = True
 
 
 def _worker() -> ThreadPoolExecutor | None:
@@ -88,20 +95,39 @@ def _drop_pool() -> None:       # a forked child has no worker thread; it makes 
 os.register_at_fork(after_in_child=_drop_pool)
 
 
-def on_worker(stage: Callable[[], A]) -> Future[A]:
-    """Start `stage()` on the worker, in the caller's context (`np.errstate`),
-    and return its future; where `cores()` reads 1, run it here and return it
-    done. Either way its error is raised by `result()`. The caller must wait
-    for every future it starts, or cancel it, before it returns."""
-    pool = _worker()
-    if pool is not None:
-        return pool.submit(contextvars.copy_context().run, stage)
-    done: Future[A] = Future()
-    try:
-        done.set_result(stage())
-    except Exception as exc:
-        done.set_exception(exc)
-    return done
+class Tasks:
+    """The tasks a `with` block starts on the worker, and their join (see
+    the module docstring)."""
+
+    def __init__(self):
+        self._futures: list[Future] = []
+
+    def __enter__(self) -> Tasks:
+        return self
+
+    def start(self, stage: Callable[[], A]) -> Future[A]:
+        """Start `stage()` on the worker, in the caller's context, and return
+        its future; where `cores()` reads 1, run it here and return it done.
+        Either way its error is raised by `result()`, and by the exit."""
+        pool = _worker()
+        if pool is not None:
+            future = pool.submit(contextvars.copy_context().run, stage)
+        else:
+            future = Future()
+            try:
+                future.set_result(stage())
+            except Exception as exc:
+                future.set_exception(exc)
+        # drop the tasks done without error, so that the block does not hold
+        # each result until it ends
+        self._futures = [f for f in self._futures if not f.done() or f.exception()]
+        self._futures.append(future)
+        return future
+
+    def __exit__(self, kind, error, traceback) -> None:
+        failed = [e for e in [f.exception() for f in self._futures] if e is not None]
+        if failed and error is None:
+            raise failed[0]
 
 
 def splits(macs: int) -> bool:
@@ -113,27 +139,19 @@ def splits(macs: int) -> bool:
 def by_frames(n_frames: int, macs: int, part: Callable[[int, int], object]) -> None:
     """Run `part(lo, hi)` over frames [0, n_frames) of a (T, B, .) stack, inline
     below `_SPLIT_MACS` multiply-adds or where `cores()` reads 1; else the
-    second half on the worker, in the caller's context (`np.errstate`), and
-    the first half here. Returns or raises once both are done; the worker's
-    error is raised here."""
-    pool = _worker() if n_frames > 1 and splits(macs) else None
-    if pool is None:
+    second half as a task and the first half here, joined by `Tasks`."""
+    if n_frames < 2 or not splits(macs):
         part(0, n_frames)
         return
-    mid = n_frames // 2
-    future = pool.submit(contextvars.copy_context().run, part, mid, n_frames)
-    try:
-        part(0, mid)
-    finally:
-        error = future.exception()
-    if error is not None:
-        raise error
+    with Tasks() as tasks:
+        tasks.start(partial(part, n_frames // 2, n_frames))
+        part(0, n_frames // 2)
 
 
 def fork_join(lane: Callable[[], A], here: Callable[[], B], name: str) -> tuple[A, B]:
     """(lane(), here()), the first computed in a forked child on two or more
     cores; a failure of the child is named by `name`."""
-    global _in_here
+    global _one_core
     if cores() < 2:
         return lane(), here()
     read_fd, write_fd = os.pipe()
@@ -148,11 +166,11 @@ def fork_join(lane: Callable[[], A], here: Callable[[], B], name: str) -> tuple[
     pipe = os.fdopen(read_fd, "rb")
     lost = None
     try:
-        _in_here = True
+        _one_core = True        # set after the fork: the child sets its own
         try:
             mine = here()
         finally:
-            _in_here = False
+            _one_core = False
         try:
             ok, value = pickle.load(pipe)
         except Exception as exc:    # the child ended before its result was whole
@@ -173,10 +191,10 @@ def fork_join(lane: Callable[[], A], here: Callable[[], B], name: str) -> tuple[
 
 def _serve(lane: Callable[[], object], read_fd: int, write_fd: int) -> None:
     """The child: run `lane`, send (True, result) or (False, error), and exit."""
-    global _in_lane
+    global _one_core
     code = 1
     try:
-        _in_lane = True
+        _one_core = True
         os.close(read_fd)
         try:
             sent = (True, lane())

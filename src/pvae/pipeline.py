@@ -5,9 +5,9 @@ enhancement.
 Enhancement runs the encoder and both decoders over the clip in chunks of
 `CHUNK_FRAMES` frames, carrying the three GRU states from chunk to chunk.
 The caller runs the GRU recurrences; the worker of `parallel` runs each
-chunk's stacked products: the trunk's FC layers and GRU input projections
-a chunk ahead of the caller, and the heads, the latents and the decoders'
-products behind it. Every layer makes the same per-frame BLAS calls as one call over
+chunk's stacked products, as tasks of one `parallel.Tasks` block: the
+trunk's FC layers and GRU input projections a chunk ahead of the caller,
+and the heads, the latents and the decoders' products behind it. Every layer makes the same per-frame BLAS calls as one call over
 the whole clip, so the bytes are those of `nsvae.encode` followed by
 `cvae.decode` and `nvae.decode`.
 
@@ -288,15 +288,15 @@ def _encode_decode(bundle: ModelBundle, y: np.ndarray,
     enc_h = ns.trunk.gru.initial_state(1).data
     dec_h = [d.dec_gru.initial_state(1).data for d in decoders]
     enc_states = dec_states = None      # of the last chunk each recurrence ran
-    fronts, latents, decoded = {0: parallel.on_worker(partial(front, 0))}, {}, []
-    try:
+    with parallel.Tasks() as tasks:
+        fronts, latents = {0: tasks.start(partial(front, 0))}, {}
         for k in range(n + 2):
             if 1 <= k <= n:
-                latents[k - 1] = parallel.on_worker(partial(heads, k - 1, enc_states))
+                latents[k - 1] = tasks.start(partial(heads, k - 1, enc_states))
             if k + 1 < n:
-                fronts[k + 1] = parallel.on_worker(partial(front, k + 1))
+                fronts[k + 1] = tasks.start(partial(front, k + 1))
             if k >= 2:
-                decoded.append(parallel.on_worker(partial(tails, k - 2, dec_states)))
+                tasks.start(partial(tails, k - 2, dec_states))
             if k < n:
                 projection = fronts.pop(k).result()
                 with nn.stage("encode", 1, spans[k][0]):
@@ -307,11 +307,6 @@ def _encode_decode(bundle: ModelBundle, y: np.ndarray,
                 with nn.stage("decode", 1, spans[k - 1][0]):
                     hs = [d.dec_gru.recur(p, h) for d, p, h in zip(decoders, projections, dec_h)]
                 dec_h, dec_states = [h[-1] for h in hs], [h[1:, 0] for h in hs]
-    finally:
-        for future in (*fronts.values(), *latents.values(), *decoded):
-            future.exception()          # no stage outlives the call
-    for future in decoded:
-        future.result()
     return z, means
 
 

@@ -26,12 +26,12 @@ def no_stray_children():
 
 @pytest.fixture
 def stage_threads(monkeypatch):
-    """[name of the thread that ran it, future] of each stage given to
-    `parallel.on_worker`."""
+    """[name of the thread that ran it, future] of each task started by
+    `parallel.Tasks.start`."""
     started = []
-    on_worker = parallel.on_worker
+    start = parallel.Tasks.start
 
-    def recording(stage):
+    def recording(tasks, stage):
         entry = [None, None]
         started.append(entry)
 
@@ -39,8 +39,8 @@ def stage_threads(monkeypatch):
             entry[0] = threading.current_thread().name
             return stage()
 
-        entry[1] = on_worker(run)
+        entry[1] = start(tasks, run)
         return entry[1]
 
-    monkeypatch.setattr(parallel, "on_worker", recording)
+    monkeypatch.setattr(parallel.Tasks, "start", recording)
     return started

@@ -380,10 +380,12 @@ def test_property_reuse_accumulation(seed):
 
 @pytest.fixture
 def split(monkeypatch):
-    """Every stacked product splits, on a worker of the test's own."""
+    """Two cores, whatever the machine has, and every stacked product splits,
+    on a worker of the test's own."""
     with ThreadPoolExecutor(max_workers=1) as pool:
         monkeypatch.setattr(parallel, "_pool", pool)
         monkeypatch.setattr(parallel, "_SPLIT_MACS", 0)
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
         yield pool
 
 
@@ -562,7 +564,9 @@ class TestFrameSplit:
         per_block = ad._BLOCK_BYTES // (6 * 6 * np.dtype(dtype).itemsize)
         on_worker = [name != "MainThread" for name, _ in stage_threads]
         if frame_mode == "split":
-            assert on_worker == [True] * -(-n_frames // per_block)
+            # the forward's input projections: one task for their second
+            # half when there are two frames or more; then one per block
+            assert on_worker == [True] * ((n_frames > 1) + -(-n_frames // per_block))
         else:
             assert on_worker == []
 
@@ -594,6 +598,7 @@ class TestFrameSplit:
         x[2 * n_batch:3 * n_batch, 0] = 1e300          # frame 2, in the fourth block
         loss = ad.tsum(ad.mul(gru(Tensor(x), n_batch),
                               Tensor(np.full((n_frames * n_batch, 6), 1e10))))
+        stage_threads.clear()                          # the forward's task
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             ad.backward(loss)
         assert len(stage_threads) == 5 and all(f.done() for _, f in stage_threads)
@@ -620,7 +625,8 @@ class TestFrameSplit:
         x = Tensor(np.random.default_rng(4).normal(size=(18, 5)))
         with pytest.raises(RuntimeError, match="caller"):
             ad.backward(ad.tsum(gru(x, 2)))
-        assert len(stage_threads) == 2 and all(f.done() for _, f in stage_threads)
+        # the forward's input projections (frames 4-8), then the two blocks
+        assert len(stage_threads) == 1 + 2 and all(f.done() for _, f in stage_threads)
 
     @pytest.mark.parametrize("case", ["two cores", "one core", "below the gate",
                                       "no input gradient"])
@@ -650,7 +656,11 @@ class TestFrameSplit:
         on_worker = [name != "MainThread" for name, _ in stage_threads]
         assert seq == grads(lambda: concat([tape_reference.linear(
             layer, slice_rows(x, t * n_batch, (t + 1) * n_batch)) for t in range(n_frames)]))
-        assert on_worker == ([True] * 3 if case == "two cores" else [])
+        # the forward's second half (frames 2-4) is a task on two cores above
+        # the gate; then 3 blocks of 2 frames, where the weight sum goes to
+        # the worker
+        tasks = {"two cores": 1 + 3, "no input gradient": 1}.get(case, 0)
+        assert on_worker == [True] * tasks
 
     @pytest.mark.parametrize("where", ["worker block", "caller input gradient"])
     def test_linear_overflow_is_raised_once_every_block_is_done(
@@ -681,6 +691,7 @@ class TestFrameSplit:
             layer.weight.data[0] = 1e300
         loss = ad.tsum(ad.mul(layer(Tensor(x, requires_grad=True), n_batch),
                               Tensor(np.full((n_frames * n_batch, 4), 1e10))))
+        stage_threads.clear()                          # the forward's task
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             ad.backward(loss)
         assert [name != "MainThread" for name, _ in stage_threads] == [True] * 5

@@ -83,3 +83,13 @@ def test_round_parts_digest_follows_the_parts():
     assert len(lines) == 12 and lines[-2].split()[0] == "round"
     word, digest = lines[-1].split()
     assert word == "digest" and len(digest) == 64 and int(digest, 16) >= 0
+
+
+def test_check_rounds_checks_each_round_of_a_train_wide_run():
+    """`scripts/check_rounds.py` builds `workloads.TrainWide`, runs its rounds
+    and calls `check()` after each one in range; rounds 1 and 2 pass at seed
+    1, so the list of failing counts is empty."""
+    script = SPANS_PATH.parents[1] / "scripts" / "check_rounds.py"
+    out = subprocess.run([sys.executable, str(script), "--seed", "1", "--from", "1",
+                          "--to", "2"], check=True, capture_output=True, text=True).stdout
+    assert out.splitlines() == ["train-wide, seed 1, rounds 1-2: check fails after []"]

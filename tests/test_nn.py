@@ -23,7 +23,7 @@ def t64(data, req=True):
 def worker(monkeypatch, stage_threads):
     """The gate forced open on two cores, with a worker of the test's own:
     the GRU's weight sums and Adam's second run go to it. Yields the name
-    of the thread that ran each task given to `parallel.on_worker`."""
+    of the thread that ran each task started by `parallel.Tasks.start`."""
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="test-worker") as pool:
         monkeypatch.setattr(parallel, "_pool", pool)
         monkeypatch.setattr(parallel, "_SPLIT_MACS", 0)
@@ -380,7 +380,10 @@ class TestGradientBuffers:
         held = [r.normal(size=p.data.shape).astype(dtype) for p in gru.parameters()]
         assert self.mismatches(gru, xs, weights, n_batch) == []
         assert self.mismatches(gru, xs, weights, n_batch, held) == []
-        assert [name.split("_")[0] for name, _ in worker] == ["test-worker"] * 2 * 2 * 3
+        # per `mismatches`: the second half of each of the two GRU calls'
+        # forward input projections, and the 3 blocks (of 2, 2 and 1 of the 5
+        # frames) of each call's backward
+        assert [name.split("_")[0] for name, _ in worker] == ["test-worker"] * 2 * (2 + 2 * 3)
 
     def test_held_and_shared_grads_never_written(self, dtype, n_batch):
         linear, gru, xs, weights = self.setup_layers(dtype, n_batch)

@@ -1,12 +1,14 @@
 """`parallel.fork_join`: one part in a forked child, one here, the same
-results and bytes as both run here. `parallel.on_worker`: a stage on the
-worker thread, in order, in the caller's context. Training at a width above
-the gate: the same bytes with the worker as without it."""
+results and bytes as both run here. `parallel.Tasks`: a stage on the worker
+thread, in order, in the caller's context, and the one join that waits for
+every task and picks the error. Training at a width above the gate: the
+same bytes with the worker as without it."""
 
 import os
 import signal
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -174,7 +176,8 @@ class TestForkJoin:
             threads = []
             parallel.by_frames(4, parallel._SPLIT_MACS,
                                lambda lo, hi: threads.append(threading.current_thread().name))
-            stage = parallel.on_worker(lambda: threading.current_thread().name)
+            with parallel.Tasks() as tasks:
+                stage = tasks.start(lambda: threading.current_thread().name)
             return parallel.cores(), threads, stage.result()
 
         lane, (mine, threads, stage) = parallel.fork_join(parallel.cores, here, "test lane")
@@ -191,7 +194,8 @@ class TestOnWorker:
             seen.append(i)
             return threading.current_thread().name, parallel.cores()
 
-        futures = [parallel.on_worker(lambda i=i: stage(i)) for i in range(5)]
+        with parallel.Tasks() as tasks:
+            futures = [tasks.start(lambda i=i: stage(i)) for i in range(5)]
         results = [future.result(timeout=10) for future in futures]
         assert seen == list(range(5))
         assert {name.split("_")[0] for name, _ in results} == {"pvae-frames"}
@@ -203,20 +207,114 @@ class TestOnWorker:
             parallel.by_frames(4, parallel._SPLIT_MACS, lambda lo, hi: parts.append((lo, hi)))
             return parts
 
-        assert parallel.on_worker(stage).result(timeout=10) == [(0, 4)]
+        with parallel.Tasks() as tasks:
+            future = tasks.start(stage)
+        assert future.result(timeout=10) == [(0, 4)]
 
     def test_runs_in_the_callers_context(self, two_cores):
-        with np.errstate(over="raise"):
-            future = parallel.on_worker(lambda: np.geterr()["over"])
+        with np.errstate(over="raise"), parallel.Tasks() as tasks:
+            future = tasks.start(lambda: np.geterr()["over"])
         assert future.result(timeout=10) == "raise"
 
     def test_inline_on_one_core_and_error_kept(self, one_core):
-        future = parallel.on_worker(lambda: threading.current_thread().name)
-        assert future.done() and future.result() == "MainThread"
-        failed = parallel.on_worker(lambda: {}["missing"])
-        assert failed.done()
-        with pytest.raises(KeyError, match="missing"):
-            failed.result()
+        with pytest.raises(KeyError, match="missing"), parallel.Tasks() as tasks:
+            future = tasks.start(lambda: threading.current_thread().name)
+            assert future.done() and future.result() == "MainThread"
+            failed = tasks.start(lambda: {}["missing"])
+            assert failed.done()
+            with pytest.raises(KeyError, match="missing"):
+                failed.result()
+
+
+class TestTasks:
+    """The join: leaving a `Tasks` block, by return or by raise, waits for
+    every task it started; then the block's error propagates, or else the
+    first failed task's error, in start order."""
+
+    def test_the_first_failed_tasks_error_is_raised_at_the_exit(self, two_cores):
+        done = []
+
+        def fails(key):
+            time.sleep(0.05)
+            done.append(key)
+            return {}[key]
+
+        with pytest.raises(KeyError, match="first"):
+            with parallel.Tasks() as tasks:
+                tasks.start(lambda: done.append("ok"))
+                tasks.start(lambda: fails("first"))
+                tasks.start(lambda: fails("second"))
+                done.append("block")
+        assert sorted(done) == ["block", "first", "ok", "second"]
+
+    def test_the_blocks_error_wins_over_a_tasks_error(self, two_cores):
+        with pytest.raises(ValueError, match="block"):
+            with parallel.Tasks() as tasks:
+                failed = tasks.start(lambda: {}["task"])
+                raise ValueError("block")
+        assert isinstance(failed.exception(timeout=0), KeyError)
+
+    @pytest.mark.parametrize("leave", ["return", "raise"])
+    def test_the_exit_waits_for_a_slow_task(self, two_cores, leave):
+        done = []
+
+        def slow():
+            time.sleep(0.1)
+            done.append("task")
+
+        def block():
+            with parallel.Tasks() as tasks:
+                tasks.start(slow)
+                if leave == "return":
+                    return "returned"
+                raise ValueError("block")
+
+        if leave == "return":
+            assert block() == "returned"
+        else:
+            with pytest.raises(ValueError, match="block"):
+                block()
+        assert done == ["task"]
+
+    def test_tasks_of_two_blocks_keep_their_start_order(self, two_cores):
+        seen = []
+
+        def stage(i):
+            time.sleep(0.01 * (i % 2))
+            seen.append(i)
+
+        with parallel.Tasks() as outer:
+            for i in range(0, 6, 2):
+                outer.start(lambda i=i: stage(i))
+                with parallel.Tasks() as inner:
+                    inner.start(lambda i=i: stage(i + 1))
+        assert seen == list(range(6))
+
+    def test_the_block_drops_a_task_done_without_error(self, two_cores):
+        """The block keeps a task only while it runs or once it failed: the
+        chunked enhancement chain reads each result, and the block must not
+        hold every chunk's results until it ends."""
+        class Result:
+            pass
+
+        with pytest.raises(KeyError, match="kept"), parallel.Tasks() as tasks:
+            held = weakref.ref(tasks.start(Result).result(timeout=10))
+            tasks.start(lambda: None).result(timeout=10)   # the worker is past the first
+            failed = tasks.start(lambda: {}["kept"])
+            failed.exception(timeout=10)
+            tasks.start(lambda: None)
+            assert held() is None and failed in tasks._futures
+
+    def test_tasks_opened_on_the_worker_run_inline(self, two_cores):
+        def stage():
+            with parallel.Tasks() as inner:
+                nested = inner.start(lambda: threading.current_thread().name)
+            return threading.current_thread().name, nested.done(), nested.result()
+
+        with parallel.Tasks() as tasks:
+            future = tasks.start(stage)
+        name, done, nested = future.result(timeout=0)
+        assert name.startswith("pvae-frames") and done and nested == name
 
 
 class TestWithoutAffinity:
@@ -326,13 +424,19 @@ class TestWideTraining:
             set_cores(monkeypatch, cores)
             stage_threads.clear()
             runs[cores] = wide_training_bytes()
-            # a step on two cores, over 8 frames of 16 rows: one block of
-            # weight sums per GRU (2 in a DIP step, 1 in a permutation step);
-            # one per linear layer of 2^22 multiply-adds or more with an input
+            # a step on two cores, over 8 frames of 16 rows: the second half
+            # of each forward product of 2^22 multiply-adds or more (9 in a
+            # DIP step: the trunk's fc0, fc1, fc2 and GRU input projections,
+            # the three decoder FCs and the two decoder heads, the latent
+            # heads and the decoder GRU's projections being 1-3M; 13 in a
+            # permutation step: those 4 of the NSVAE's trunk and its fc_wide,
+            # and those 4 of each frozen target's trunk); one block of weight
+            # sums per GRU (2 in a DIP step, 1 in a permutation step); one per
+            # linear layer of 2^22 multiply-adds or more with an input
             # gradient (7 in a DIP step: the trunk's fc1 and fc2, the three
             # decoder FCs and the two decoder heads; 3 in a permutation step:
             # fc1, fc2 and fc_wide; each trunk's fc0 has no input gradient,
             # and the latent heads are 1-2M); and Adam's second run
-            tasks = 2 * (2 + 7 + 1) + 2 * (1 + 3 + 1) if cores == 2 else 0
+            tasks = 2 * (9 + 2 + 7 + 1) + 2 * (13 + 1 + 3 + 1) if cores == 2 else 0
             assert [name.split("_")[0] for name, _ in stage_threads] == ["pvae-frames"] * tasks
         assert runs[1] == runs[2]
